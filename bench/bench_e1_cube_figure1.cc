@@ -86,39 +86,10 @@ BENCHMARK(BM_CubeMdJoinGuarded)
     ->ArgsProduct({{10000, 50000, 200000}, {1, 2, 3}})
     ->Unit(benchmark::kMillisecond);
 
-void BM_CubeExecutionMode(benchmark::State& state) {
-  // The vectorization A/B at cube scale: identical query, scan style toggled
-  // via MdJoinOptions::execution_mode. arg1 = 0 → tuple-at-a-time baseline,
-  // 1 → block-at-a-time with flat aggregate state. The acceptance target for
-  // the vectorized path is ≥2× over the row path at 1M detail rows.
-  const int64_t rows = state.range(0);
-  const bool vectorized = state.range(1) != 0;
-  const Table& sales = CachedSales(rows, 100, 50, 12);
-  std::vector<std::string> dims = {"prod", "month"};
-  Table base = *CubeByBase(sales, dims);
-  ExprPtr theta = DimsTheta(dims);
-  std::vector<AggSpec> aggs = {Sum(dsl::RCol("sale"), "total"), Count("n"),
-                               Min(dsl::RCol("sale"), "lo"),
-                               Max(dsl::RCol("sale"), "hi"),
-                               Avg(dsl::RCol("sale"), "mean")};
-  MdJoinOptions options;
-  options.execution_mode = vectorized ? ExecutionMode::kVectorized : ExecutionMode::kRow;
-  MdJoinStats stats;
-  for (auto _ : state) {
-    Table cube = *MdJoin(base, sales, aggs, theta, options, &stats);
-    benchmark::DoNotOptimize(cube.num_rows());
-  }
-  state.counters["base_rows"] = static_cast<double>(base.num_rows());
-  state.counters["blocks"] = static_cast<double>(stats.blocks);
-  state.counters["detail_rows"] = static_cast<double>(rows);
-}
-BENCHMARK(BM_CubeExecutionMode)
-    ->ArgsProduct({{200000, 1000000}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
 /// The raw-speed ladder on the 2-D cube. arg1 picks the arm:
-///   0 baseline_pr2 — the vectorized scan as PR 2 shipped it: no SIMD
-///     kernels, no dictionary/flat columns, θ through the closure tree.
+///   0 baseline_pr2 — the block scan without the raw-speed machinery: no
+///     SIMD kernels, no dictionary/flat columns. θ runs through bytecode,
+///     the one runtime evaluator, in every arm.
 ///   1 scalar_full  — all current machinery pinned to the scalar SIMD level
 ///     (isolates the algorithmic wins from the instruction-set win).
 ///   2 auto_full    — best available SIMD level; the headline arm. The
@@ -128,8 +99,8 @@ BENCHMARK(BM_CubeExecutionMode)
 ///     kernels, dense-block path, and fused predicate+aggregate path all
 ///     fire; fused_blocks/dense_blocks counters make that visible.
 ///   4 baseline_pred — arm 3's θ under arm 0's configuration: the paired
-///     baseline for the predicated A/B (same query, closure-tree string
-///     compares and Value-cell updates instead of code compares + kernels).
+///     baseline for the predicated A/B (same query, Value string compares
+///     and Value-cell updates instead of code compares + kernels).
 void BM_CubeRawSpeed(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const int arm = static_cast<int>(state.range(1));
@@ -147,11 +118,9 @@ void BM_CubeRawSpeed(benchmark::State& state) {
                                Max(dsl::RCol("sale"), "hi"),
                                Avg(dsl::RCol("sale"), "mean")};
   MdJoinOptions options;
-  options.execution_mode = ExecutionMode::kVectorized;
   if (arm == 0 || arm == 4) {
     options.simd = simd::Backend::kScalar;
     options.use_flat_columns = false;
-    options.theta_bytecode = false;
   } else if (arm == 1) {
     options.simd = simd::Backend::kScalar;
   }

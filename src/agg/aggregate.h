@@ -87,9 +87,10 @@ class AggregateFunction {
 
   /// Flat-state support for the vectorized evaluator. A non-kNone kind is a
   /// contract that AggStateColumn's kernels for that kind reproduce this
-  /// function's Update/Merge/Finalize semantics exactly (A/B-tested in
-  /// tests/vectorized_test.cc); implementations that cannot honor that must
-  /// return kNone and take the per-group heap-state fallback.
+  /// function's Update/Merge/Finalize semantics exactly (checked against the
+  /// heap-state reference in tests/vectorized_test.cc); implementations that
+  /// cannot honor that must return kNone and take the per-group heap-state
+  /// fallback.
   virtual FlatAggKind flat_kind() const { return FlatAggKind::kNone; }
 };
 

@@ -24,7 +24,8 @@ namespace mdjoin {
 ///
 /// The flat kernels reproduce the corresponding built-ins' semantics exactly
 /// (NULL skipping, ALL handling, sum's int/float promotion); this is enforced
-/// by the A/B tests in tests/vectorized_test.cc.
+/// by tests/vectorized_test.cc, which checks the scan against the heap-state
+/// reference evaluator (core/reference.h).
 class AggStateColumn {
  public:
   AggStateColumn() = default;

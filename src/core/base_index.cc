@@ -128,6 +128,9 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
               static_cast<uint32_t>(fc.codes[r]));
         }
       }
+      // A NULL key cell fails its equi conjunct against every base value,
+      // ALL included: nothing to look up.
+      if (null_tag != 0) return ProbeResult{};
       scratch->code_key[nkeys] = null_tag;
       if (++scratch->memo_lookups == kProbeMemoWarmup &&
           scratch->memo_hits * 4 < kProbeMemoWarmup) {
@@ -150,7 +153,6 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
   // columns alias the cell in place; computed keys evaluate into reused
   // scratch slots.
   scratch->key.clear();
-  bool any_all = false;
   bool any_computed = false;
   for (size_t i = 0; i < nkeys; ++i) {
     const Value* v;
@@ -167,7 +169,9 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
       scratch->computed[i] = detail_keys_[i].Eval(ctx);
       v = &scratch->computed[i];
     }
-    if (v->is_all()) any_all = true;
+    // NULL fails its equi conjunct against every base value, ALL included,
+    // so the whole probe is empty (not just the buckets keyed on it).
+    if (v->is_null()) return ProbeResult{};
     scratch->key.push_back(v);
   }
 
@@ -200,22 +204,16 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
   for (const MaskBucket& bucket : buckets_) {
     // Gather the probe key for this bucket's non-ALL positions.
     scratch->probe.clear();
-    bool skip = false;
     bool wildcard = false;
     for (int pos : bucket.probe_positions) {
       const Value* v = scratch->key[static_cast<size_t>(pos)];
-      if (v->is_null()) {
-        skip = true;  // NULL matches no base value
-        break;
-      }
       if (v->is_all()) {
         wildcard = true;  // detail-side ALL matches every base value
         break;
       }
       scratch->probe.push_back(v);
     }
-    if (skip) continue;
-    if (any_all && wildcard) {
+    if (wildcard) {
       // Rare path (detail relation containing ALL): the probe key cannot
       // discriminate, walk the whole bucket.
       if (single != nullptr) {
@@ -280,13 +278,6 @@ void BaseIndex::Probe(const Table& detail, int64_t detail_row, ProbeScratch* scr
   thread_local std::vector<int64_t> gather;
   ProbeResult r = ProbeSpan(detail, detail_row, scratch, &gather);
   out->insert(out->end(), r.rows, r.rows + r.count);
-}
-
-void BaseIndex::Probe(const RowCtx& detail_ctx, std::vector<int64_t>* out) const {
-  ProbeScratch scratch;
-  // A single-probe scratch can never see a repeat; don't pay for the memo.
-  scratch.memo_enabled = false;
-  Probe(*detail_ctx.detail, detail_ctx.detail_row, &scratch, out);
 }
 
 }  // namespace mdjoin

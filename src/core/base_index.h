@@ -126,7 +126,8 @@ class BaseIndex {
   /// memo storage directly — no per-probe copying; only multi-bucket misses
   /// gather through `gather` (clobbered). If some detail key value is ALL
   /// (possible when a cuboid feeds another MD-join), falls back to an
-  /// exhaustive wildcard walk.
+  /// exhaustive wildcard walk. A NULL detail key value matches nothing, not
+  /// even a base row holding ALL in that position.
   ///
   /// Plain-column detail keys are read straight from the column (no Value
   /// copy, no closure call) and buckets are probed through RowKeyView
@@ -138,10 +139,6 @@ class BaseIndex {
   /// want to own the list).
   void Probe(const Table& detail, int64_t detail_row, ProbeScratch* scratch,
              std::vector<int64_t>* out) const;
-
-  /// Convenience overload allocating its own scratch; prefer the scratch
-  /// overload in scan loops.
-  void Probe(const RowCtx& detail_ctx, std::vector<int64_t>* out) const;
 
   /// Number of distinct ALL-masks (== hash maps) in the index.
   int64_t num_masks() const { return static_cast<int64_t>(buckets_.size()); }

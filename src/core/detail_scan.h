@@ -9,6 +9,7 @@
 #include "agg/flat_state.h"
 #include "common/query_guard.h"
 #include "core/base_index.h"
+#include "core/generalized.h"
 #include "core/mdjoin.h"
 #include "expr/compile.h"
 #include "expr/conjuncts.h"
@@ -19,12 +20,11 @@ namespace mdjoin {
 
 /// θ compiled once per query and shared by every pass, fragment, and worker
 /// (compilation used to be repeated per pass, which dominated multi-pass runs
-/// on small partitions). Read-only after CompileTheta, so one instance can be
+/// on small partitions). Read-only after compilation, so one instance can be
 /// probed from many threads.
 struct CompiledTheta {
   CompiledExpr base_pred;    // B-only conjuncts; invalid when there are none
-  CompiledExpr detail_pred;  // pushed-down R-only conjuncts (row path)
-  PredicateKernels kernels;  // pushed-down R-only kernels (vectorized path)
+  PredicateKernels kernels;  // pushed-down R-only conjuncts (Theorem 4.2)
   bool has_kernels = false;
   CompiledExpr residual;     // conjuncts evaluated per candidate pair
   bool indexed = false;      // equi part served by a BaseIndex
@@ -39,13 +39,37 @@ struct CompiledTheta {
   bool use_flat = false;
 };
 
-/// Compiles the classified θ-conjuncts for one (base, detail) pair under the
-/// given options. Disabled optimizations (pushdown, index) fold their
-/// conjuncts back into the residual so results are identical either way.
-/// Errors if options.simd pins a backend this build/machine cannot run.
-Result<CompiledTheta> CompileTheta(const ThetaParts& parts, const Schema& base_schema,
-                                   const Table& detail, const MdJoinOptions& options,
-                                   bool vectorized);
+/// One (aggregate list, θ) pair of Definition 3.1, bound against (B, R) and
+/// compiled once per query. A single MD-join scans R for one component; the
+/// generalized MD-join of §4.3 (Theorem 4.3) scans it once for k of them.
+struct ScanComponent {
+  std::vector<BoundAgg> aggs;
+  ThetaParts parts;
+  CompiledTheta theta;
+  bool never_matches = false;  // θ constant-folds to a non-truthy literal
+};
+
+/// Binds and compiles `components` against (base, detail) under `options`.
+/// Disabled optimizations (pushdown, index) fold their conjuncts back into
+/// the residual, so results are identical either way. Rejects an empty list,
+/// a null θ, and an output name repeated across components; errors if
+/// options.simd pins a backend this build/machine cannot run. `op` prefixes
+/// error messages.
+Result<std::vector<ScanComponent>> BindComponents(
+    const char* op, const Table& base, const Table& detail,
+    const std::vector<MdJoinComponent>& components, const MdJoinOptions& options);
+
+/// Aggregates across all components: the columns an MD-join appends to B.
+size_t TotalAggs(const std::vector<ScanComponent>& components);
+
+/// Theorem 4.1 memory staging: the base rows one pass over R may serve.
+/// options.base_rows_per_pass caps it; under a guard soft memory budget it is
+/// further capped so the pass's base indexes fit the remaining budget —
+/// graceful degradation to more scans of R before the hard limit ever has to
+/// fail the query. Records the effective budget (and any degradation) in
+/// `stats`.
+int64_t PlanPassBudget(int64_t base_rows, const std::vector<ScanComponent>& components,
+                       const MdJoinOptions& options, MdJoinStats* stats);
 
 /// Thread-local mutable side of a detail scan: partial aggregate accumulators
 /// over *all* base rows (global row ids), reusable probe/selection buffers,
@@ -56,13 +80,13 @@ Result<CompiledTheta> CompileTheta(const ThetaParts& parts, const Schema& base_s
 /// final states; the morsel-driven parallel engine gives each thread its own
 /// worker and merges them with MergeWorkerPartials when the cursor drains.
 struct DetailScanWorker {
-  DetailScanWorker(const Table& base, const std::vector<BoundAgg>& bound_aggs,
-                   bool vectorized_mode, QueryGuard* guard);
+  DetailScanWorker(const Table& base, const std::vector<ScanComponent>& components,
+                   QueryGuard* guard);
 
   DetailScanWorker(const DetailScanWorker&) = delete;
   DetailScanWorker& operator=(const DetailScanWorker&) = delete;
 
-  /// Resets per-index state (the probe memo caches one index's candidate
+  /// Resets per-index state (the probe memos cache one job's candidate
   /// lists). Must be called whenever the worker switches to a different
   /// DetailScan job; cheap enough to call unconditionally before the first.
   void BeginJob();
@@ -72,22 +96,19 @@ struct DetailScanWorker {
   /// once per worker when the morsel cursor drains (parallel).
   Status FinishScan();
 
-  /// Finalized value of aggregate `agg` for base row `base_row`.
-  Value FinalizeCell(size_t agg, int64_t base_row) const;
-
-  const std::vector<BoundAgg>* aggs = nullptr;
-  bool vectorized = true;
-
-  // Partial accumulators, indexed by global base-row id: flat columns on the
-  // vectorized path, one heap AggregateState per (agg, row) on the row path.
+  // Partial accumulators of every component's aggregates, in output order,
+  // indexed by global base-row id.
   std::vector<AggStateColumn> cols;
-  std::vector<std::vector<std::unique_ptr<AggregateState>>> heap;
 
-  // Reusable scan buffers (owned per worker: Probe and the selection loop do
+  // One probe scratch per component: a scratch memoizes one index's candidate
+  // lists, so components never share one.
+  std::vector<BaseIndex::ProbeScratch> scratch;
+
+  // Reusable scan buffers (owned per worker: probes and the selection loop do
   // zero steady-state allocation, and nothing here is shared across threads).
-  BaseIndex::ProbeScratch scratch;
   std::vector<uint32_t> sel;
-  std::vector<uint64_t> mask;  // kernel bitmask scratch, 2 * MaskWords(block)
+  std::vector<uint64_t> mask;       // kernel bitmask scratch, 2 * MaskWords(block)
+  std::vector<uint8_t> qualified;   // k > 1: block rows some component selected
   std::vector<int64_t> candidates;
   std::vector<int64_t> matched_buf;
 
@@ -96,30 +117,29 @@ struct DetailScanWorker {
 };
 
 /// One prepared scan job: the read-only machinery for aggregating a set of
-/// base rows (`pass_rows`) against ranges of the detail relation — active-row
-/// filter, base index (with its memory reservation held for the job's
-/// lifetime), and hoisted aggregate-argument column pointers. Safe to call
-/// ScanRange concurrently from many workers; all mutation happens through the
-/// caller's DetailScanWorker.
+/// base rows (`pass_rows`) against ranges of the detail relation — per
+/// component its active-row filter, base index (the memory reservation held
+/// for the job's lifetime), and hoisted aggregate-argument column pointers.
+/// Safe to call ScanRange concurrently from many workers; all mutation
+/// happens through the caller's DetailScanWorker.
 class DetailScan {
  public:
   DetailScan() = default;
   DetailScan(DetailScan&&) = default;
   DetailScan& operator=(DetailScan&&) = default;
 
-  /// `theta` is borrowed and must outlive the scan; `pass_rows` are the base
-  /// rows this job aggregates (Theorem 4.1 fragment or multi-pass partition).
+  /// `components` are borrowed and must outlive the scan; `pass_rows` are
+  /// the base rows this job aggregates (Theorem 4.1 fragment or multi-pass
+  /// partition).
   static Result<DetailScan> Prepare(const Table& base, const Table& detail,
-                                    const std::vector<BoundAgg>& aggs,
-                                    const ThetaParts& parts, const CompiledTheta* theta,
-                                    std::vector<int64_t> pass_rows,
+                                    const std::vector<ScanComponent>& components,
+                                    const std::vector<int64_t>& pass_rows,
                                     const MdJoinOptions& options);
 
-  /// Scans detail rows [lo, hi), folding matches into `worker`'s partials.
-  /// Vectorized mode consumes the range block-at-a-time (blocks clamped to
-  /// the guard's check stride); row mode is the tuple-at-a-time baseline.
-  /// Work counters flush into worker->stats before returning — including on
-  /// a guard trip, so cancelled queries report how far they got.
+  /// Scans detail rows [lo, hi), folding matches into `worker`'s partials,
+  /// block-at-a-time (blocks clamped to the guard's check stride). Work
+  /// counters flush into worker->stats before returning — including on a
+  /// guard trip, so cancelled queries report how far they got.
   Status ScanRange(int64_t lo, int64_t hi, DetailScanWorker* worker) const {
     return ScanChunk(*detail_, lo, hi, worker);
   }
@@ -132,24 +152,56 @@ class DetailScan {
   /// the *prepared* table (its typed accel mirror, hoisted argument columns,
   /// code-key probe memos) engages only when `chunk` IS that table; foreign
   /// chunks resolve arguments per call and probe by value.
+  ///
+  /// Blocks are the outer loop and components the inner one: each block is
+  /// read once and every component runs its own selection, probe, residual,
+  /// and aggregate fold over it.
   Status ScanChunk(const Table& chunk, int64_t lo, int64_t hi,
                    DetailScanWorker* worker) const;
 
-  int64_t index_masks() const { return index_masks_; }
-  int64_t active_rows() const { return static_cast<int64_t>(active_.size()); }
+  int64_t index_masks() const;
 
  private:
+  /// A component's per-job machinery.
+  struct Part {
+    const ScanComponent* comp = nullptr;
+    size_t first_col = 0;  // this component's offset into the worker's cols
+    std::vector<int64_t> active;
+    BaseIndex index;
+  };
+
+  /// Per-aggregate typed argument source: the primitive payload of a plain
+  /// detail column with an int64/float64 mirror, when the accumulator is flat.
+  struct ArgPlan {
+    const int64_t* i64 = nullptr;
+    const double* f64 = nullptr;
+    const uint8_t* nulls = nullptr;
+  };
+
+  /// Work counters of one ScanChunk call, flushed into the worker once.
+  struct Counters {
+    int64_t qualified = 0, cand_pairs = 0, matched = 0, fused_blocks = 0;
+    KernelStats kernels;
+  };
+
+  /// One component's pass over block [start, start + n): selection, then
+  /// the fused fold or probe + residual + fold into the worker's columns.
+  /// `plans` and `arg_cols` are this component's slices and `scratch` its
+  /// probe scratch; `qual` marks selected rows when k > 1 (null for k = 1,
+  /// which counts them directly). Returns the candidate pairs.
+  int64_t ScanBlock(const Part& part, const Table& detail, int64_t start, int n,
+                    const ArgPlan* plans, const Value* const* arg_cols, uint8_t* qual,
+                    BaseIndex::ProbeScratch* scratch, RowCtx* ctx,
+                    DetailScanWorker* worker, Counters* counters) const;
+
   const Table* base_ = nullptr;
   const Table* detail_ = nullptr;
-  const std::vector<BoundAgg>* aggs_ = nullptr;
-  const CompiledTheta* theta_ = nullptr;
-  std::vector<int64_t> active_;
-  BaseIndex index_;
+  std::vector<Part> parts_;
   ScopedReservation index_bytes_;
-  int64_t index_masks_ = 0;
   int64_t block_ = 1024;
+  size_t num_cols_ = 0;
   std::vector<const Value*> arg_cols_;  // plain detail-column agg arguments
-  bool vectorized_ = true;
+  std::vector<ArgPlan> plans_;          // their typed payloads, when mirrored
 };
 
 /// Combines `from`'s partial accumulators group-wise into `into` (Theorem 4.1
@@ -158,6 +210,13 @@ class DetailScan {
 /// the merge tail, not only during scans.
 Status MergeWorkerPartials(DetailScanWorker* into, const DetailScanWorker& from,
                            QueryGuard* guard);
+
+/// Output assembly: every base row, in order, extended with every
+/// component's finalized aggregates in order. Charged to the guard as
+/// materialized output.
+Result<Table> AssembleOutput(const Table& base,
+                             const std::vector<ScanComponent>& components,
+                             const DetailScanWorker& states, QueryGuard* guard);
 
 /// Adds `from`'s scan-loop counters (rows, pairs, blocks, kernels) into `to`,
 /// leaving the pass/index/degradation fields — which belong to the driver —

@@ -1,10 +1,10 @@
 #include "core/mdjoin.h"
 
+#include <algorithm>
 #include <numeric>
 
-#include "agg/flat_state.h"
 #include "core/detail_scan.h"
-#include "expr/conjuncts.h"
+#include "core/generalized.h"
 #include "obs/trace.h"
 
 namespace mdjoin {
@@ -51,6 +51,12 @@ Result<Table> MdJoin(const Table& base, const Table& detail,
   if (theta == nullptr) {
     return Status::InvalidArgument("MdJoin: θ-condition must not be null");
   }
+  return GeneralizedMdJoin(base, detail, {MdJoinComponent{aggs, theta}}, options, stats);
+}
+
+Result<Table> GeneralizedMdJoin(const Table& base, const Table& detail,
+                                const std::vector<MdJoinComponent>& components,
+                                const MdJoinOptions& options, MdJoinStats* stats) {
   MdJoinStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = MdJoinStats{};
@@ -60,59 +66,33 @@ Result<Table> MdJoin(const Table& base, const Table& detail,
   // Observe a pre-issued cancel / expired deadline before doing any work.
   if (guard != nullptr) MDJ_RETURN_NOT_OK(guard->Check());
 
-  MDJ_ASSIGN_OR_RETURN(std::vector<BoundAgg> bound,
-                       BindAggs(aggs, &base.schema(), &detail.schema()));
-
-  ThetaParts parts = AnalyzeTheta(theta);
-
-  const bool vectorized = options.execution_mode != ExecutionMode::kRow;
   MDJ_ASSIGN_OR_RETURN(
-      CompiledTheta ct, CompileTheta(parts, base.schema(), detail, options, vectorized));
+      std::vector<ScanComponent> comps,
+      BindComponents("GeneralizedMdJoin", base, detail, components, options));
 
   // Aggregate states live for the whole query (every pass updates them), so
-  // their footprint is reserved up front and cannot be degraded away. Both
-  // representations are charged the same estimate so guard-driven
-  // degradation is mode-independent (the A/B tests rely on that).
+  // their footprint is reserved up front and cannot be degraded away.
   ScopedReservation state_bytes;
   MDJ_RETURN_NOT_OK(state_bytes.Reserve(
       guard,
-      static_cast<int64_t>(bound.size()) * base.num_rows() * kGuardBytesPerAggState,
+      static_cast<int64_t>(TotalAggs(comps)) * base.num_rows() * kGuardBytesPerAggState,
       "aggregate states"));
 
   // One worker whose partials are the final states: the sequential evaluator
   // is the single-threaded instance of the same scan machinery the morsel
   // engine schedules (core/detail_scan.h).
-  DetailScanWorker worker(base, bound, vectorized, guard);
+  DetailScanWorker worker(base, comps, guard);
+  const int64_t budget = PlanPassBudget(base.num_rows(), comps, options, stats);
 
-  // Theorem 4.1 memory staging: ceil(|B| / budget) passes over R. Under a
-  // guard soft memory budget the per-pass base partition is additionally
-  // capped so the per-pass index fits the remaining budget — graceful
-  // degradation to multi-pass, trading scans of R for memory, before the
-  // hard limit ever has to fail the query.
-  std::vector<int64_t> all_rows(static_cast<size_t>(base.num_rows()));
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-  int64_t budget =
-      options.base_rows_per_pass > 0 ? options.base_rows_per_pass : base.num_rows();
-  if (guard != nullptr && guard->has_memory_budget() && ct.indexed &&
-      base.num_rows() > 0) {
-    const int64_t fit = guard->remaining_soft_bytes() / kGuardBytesPerIndexedBaseRow;
-    if (fit < budget) {
-      budget = std::max<int64_t>(1, fit);
-      stats->memory_degraded = true;
-    }
-  }
-  stats->base_rows_per_pass_effective = budget;
-
-  // Empty-multiset short-circuit: when the detail relation is empty or θ
-  // constant-folds to a non-truthy literal, no (b, t) pair can qualify — the
-  // outer semantics still emit every base row, with each aggregate finalized
-  // over zero matches (the worker pre-allocated all states above), so the
-  // pass loop can be skipped without touching R.
-  ExprPtr folded_theta = FoldConstants(theta);
+  // Empty-multiset short-circuit: when the detail relation is empty or every
+  // θ constant-folds to a non-truthy literal, no (b, t) pair can qualify —
+  // the outer semantics still emit every base row, with each aggregate
+  // finalized over zero matches (the worker pre-allocated all states above),
+  // so the pass loop can be skipped without touching R.
   const bool provably_empty =
       detail.num_rows() == 0 ||
-      (folded_theta != nullptr && folded_theta->kind() == ExprKind::kLiteral &&
-       !folded_theta->literal().IsTruthy());
+      std::all_of(comps.begin(), comps.end(),
+                  [](const ScanComponent& c) { return c.never_matches; });
 
   // Scan counters accumulate in the worker and fold into *stats at the single
   // exit below — including when a guard trip or reservation failure ends a
@@ -122,13 +102,13 @@ Result<Table> MdJoin(const Table& base, const Table& detail,
     for (int64_t start = 0; start < base.num_rows(); start += budget) {
       Span pass_span("mdjoin.pass", "mdjoin");
       pass_span.SetArg("pass", stats->passes_over_detail);
-      int64_t end = std::min(start + budget, base.num_rows());
-      std::vector<int64_t> pass_rows(all_rows.begin() + start, all_rows.begin() + end);
+      pass_span.SetArg("components", static_cast<int64_t>(comps.size()));
+      const int64_t end = std::min(start + budget, base.num_rows());
+      std::vector<int64_t> pass_rows(static_cast<size_t>(end - start));
+      std::iota(pass_rows.begin(), pass_rows.end(), start);
       ++stats->passes_over_detail;
-      MDJ_ASSIGN_OR_RETURN(
-          DetailScan scan,
-          DetailScan::Prepare(base, detail, bound, parts, &ct, std::move(pass_rows),
-                              options));
+      MDJ_ASSIGN_OR_RETURN(DetailScan scan,
+                           DetailScan::Prepare(base, detail, comps, pass_rows, options));
       stats->index_masks += scan.index_masks();
       pass_span.SetArg("base_rows", end - start);
       worker.BeginJob();
@@ -139,25 +119,7 @@ Result<Table> MdJoin(const Table& base, const Table& detail,
   }();
   AccumulateScanStats(worker.stats, stats);
   MDJ_RETURN_NOT_OK(run);
-
-  // Assemble output: base columns then one column per aggregate.
-  std::vector<Field> fields = base.schema().fields();
-  for (const BoundAgg& b : bound) fields.push_back(b.output_field);
-  ScopedReservation output_bytes;
-  MDJ_RETURN_NOT_OK(output_bytes.Reserve(
-      guard,
-      base.num_rows() * static_cast<int64_t>(fields.size()) * kGuardBytesPerOutputCell,
-      "materialized output"));
-  Table out{Schema(std::move(fields))};
-  out.Reserve(base.num_rows());
-  for (int64_t r = 0; r < base.num_rows(); ++r) {
-    std::vector<Value> row = base.GetRow(r);
-    for (size_t i = 0; i < bound.size(); ++i) {
-      row.push_back(worker.FinalizeCell(i, r));
-    }
-    out.AppendRowUnchecked(std::move(row));
-  }
-  return out;
+  return AssembleOutput(base, comps, worker, guard);
 }
 
 }  // namespace mdjoin

@@ -14,26 +14,6 @@
 
 namespace mdjoin {
 
-/// How the scan of R is executed. Both modes produce identical results; the
-/// vectorized path is an execution-level rewrite, not a semantic one.
-enum class ExecutionMode {
-  /// Pick automatically. Currently always the vectorized path: its per-row
-  /// fallbacks (holistic aggregates, UDAFs, residual θ-conjuncts) keep
-  /// results identical, so there is no semantic reason to prefer row mode.
-  kAuto,
-
-  /// Block-at-a-time: detail rows are processed in fixed-size blocks,
-  /// detail-only θ-conjuncts run as columnar predicate kernels producing a
-  /// selection vector, and builtin distributive/algebraic aggregates update
-  /// flat typed state columns with non-virtual kernels.
-  kVectorized,
-
-  /// Tuple-at-a-time Algorithm 3.1 as literally stated: one compiled-closure
-  /// predicate evaluation and one heap aggregate-state update per row. Kept
-  /// as the ablation baseline for the vectorization experiments.
-  kRow,
-};
-
 /// Evaluation knobs for MdJoin(). The defaults give the fully-optimized
 /// single-operator plan; benches flip individual flags to ablate each
 /// optimization from the paper.
@@ -54,11 +34,7 @@ struct MdJoinOptions {
   /// "a well-defined increase in the number of scans of R".
   int64_t base_rows_per_pass = 0;
 
-  /// Scan style for R; see ExecutionMode. Results are identical across modes
-  /// (enforced by the A/B property tests).
-  ExecutionMode execution_mode = ExecutionMode::kAuto;
-
-  /// Detail rows per block in the vectorized path. Sized so a block's column
+  /// Detail rows per block of the detail scan. Sized so a block's column
   /// slices and selection vector stay cache-resident; the default follows
   /// the conventional 1K-row vector size. Values < 1 fall back to 1024.
   int block_size = 1024;
@@ -98,12 +74,6 @@ struct MdJoinOptions {
   /// code-key probe memos. false restores the pure Value-at-a-time vectorized
   /// path — the PR-2-era baseline arm of the raw-speed benches.
   bool use_flat_columns = true;
-
-  /// Evaluate residual θ-conjuncts (and other compiled expressions inside
-  /// this join) through the flat bytecode interpreter (expr/bytecode.h).
-  /// false pins the closure-tree walker. The MDJOIN_THETA_BYTECODE=0
-  /// environment variable overrides both to the tree walker process-wide.
-  bool theta_bytecode = true;
 
   /// Debug invariant mode: the plan executor runs the full static analyzer
   /// (analyze/plan_analyzer.h) over the plan before executing it and fails
@@ -160,7 +130,9 @@ struct MdJoinStats {
   int64_t base_rows_per_pass_effective = 0;  // after guard memory degradation
   bool memory_degraded = false;      // guard budget forced extra passes
 
-  // Vectorized-path counters; all zero when the row path ran.
+  // Block-scan counters. With k components, detail_rows_qualified counts the
+  // rows some component's selection kept, candidate/matched pairs sum over
+  // components, and fused_blocks counts (block, component) pairs.
   int64_t blocks = 0;                // detail blocks processed (all passes)
   int64_t kernel_invocations = 0;    // columnar predicate kernel runs
   int64_t kernel_fallback_rows = 0;  // rows filtered per-row inside blocks
@@ -187,7 +159,9 @@ struct MdJoinStats {
 };
 
 /// The MD-join MD(B, R, l, θ) of Definition 3.1, evaluated with
-/// Algorithm 3.1.
+/// Algorithm 3.1: the k = 1 case of GeneralizedMdJoin (core/generalized.h),
+/// run by the same sequential driver over the one detail-scan kernel
+/// (core/detail_scan.h).
 ///
 /// Output: every row of `base` (in order) extended with one column per
 /// AggSpec in `aggs`, aggregating the multiset RNG(b, R, θ) = {t ∈ R :

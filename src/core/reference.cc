@@ -29,9 +29,12 @@ Result<Table> MdJoinReference(const Table& base, const Table& detail,
     for (const BoundAgg& agg : bound) states.push_back(agg.fn->MakeState());
     for (int64_t t = 0; t < detail.num_rows(); ++t) {
       ctx.detail_row = t;
-      if (!cond.EvalBool(ctx)) continue;
+      if (!cond.EvalTreeWalk(ctx).IsTruthy()) continue;
       for (size_t i = 0; i < bound.size(); ++i) {
-        bound[i].UpdateFromRow(states[i].get(), ctx);
+        // count(*) feeds a non-NULL token, as every evaluator does.
+        bound[i].fn->Update(states[i].get(), bound[i].has_arg
+                                                 ? bound[i].arg.EvalTreeWalk(ctx)
+                                                 : Value::Int64(1));
       }
     }
     std::vector<Value> row = base.GetRow(b);

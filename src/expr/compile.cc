@@ -23,17 +23,6 @@ struct Compiled {
 using expr_internal::EvalArith;
 using expr_internal::EvalCompare;
 
-/// MDJOIN_THETA_BYTECODE=0 forces every CompiledExpr onto the closure tree —
-/// the process-wide kill-switch for bisecting a suspected interpreter bug
-/// without recompiling.
-bool BytecodeEnabled() {
-  static const bool enabled = [] {
-    const char* e = std::getenv("MDJOIN_THETA_BYTECODE");
-    return e == nullptr || std::string_view(e) != "0";
-  }();
-  return enabled;
-}
-
 /// Mirrors analyze/plan_invariants' VerifyPlansEnabledByEnv. Duplicated here
 /// because mdj_expr sits below mdj_plananalyze in the layering: under
 /// MDJOIN_VERIFY_PLANS a bytecode program that fails verification is a hard
@@ -214,28 +203,26 @@ Result<CompiledExpr> CompileExpr(const ExprPtr& expr, const Schema* base_schema,
   CompiledExpr out;
   out.fn_ = std::move(c.fn);
   out.result_type_ = c.type;
-  if (BytecodeEnabled()) {
-    // Lower to bytecode only after the closure tree compiled: binding and
-    // type errors are reported once, by one compiler.
-    MDJ_ASSIGN_OR_RETURN(BytecodeExpr bc,
-                         BytecodeExpr::Compile(expr, base_schema, detail_schema));
-    // Every program is verified before it may execute: stack safety, operand
-    // validity, forward-only jumps (termination). An emitter bug is a
-    // load-time rejection under MDJOIN_VERIFY_PLANS and a diagnosed
-    // fall-back to the closure tree otherwise — never a wrong answer.
-    VerifierReport report = VerifyBytecode(bc, base_schema, detail_schema);
-    if (report.ok()) {
-      static Counter* verified = MetricsRegistry::Global().GetCounter(
-          "mdjoin_theta_verified_total",
-          "θ bytecode programs that passed the static verifier");
-      verified->Increment();
-      out.bc_ = std::make_shared<const BytecodeExpr>(std::move(bc));
-    } else if (HardVerifyEnabled()) {
-      return report.ToStatus();
-    } else {
-      std::fprintf(stderr, "mdjoin: θ bytecode failed verification for %s: %s\n",
-                   expr->ToString().c_str(), report.ToStatus().message().c_str());
-    }
+  // Lower to bytecode only after the closure tree compiled: binding and
+  // type errors are reported once, by one compiler.
+  MDJ_ASSIGN_OR_RETURN(BytecodeExpr bc,
+                       BytecodeExpr::Compile(expr, base_schema, detail_schema));
+  // Every program is verified before it may execute: stack safety, operand
+  // validity, forward-only jumps (termination). An emitter bug is a
+  // load-time rejection under MDJOIN_VERIFY_PLANS and a diagnosed
+  // fall-back to the closure tree otherwise — never a wrong answer.
+  VerifierReport report = VerifyBytecode(bc, base_schema, detail_schema);
+  if (report.ok()) {
+    static Counter* verified = MetricsRegistry::Global().GetCounter(
+        "mdjoin_theta_verified_total",
+        "θ bytecode programs that passed the static verifier");
+    verified->Increment();
+    out.bc_ = std::make_shared<const BytecodeExpr>(std::move(bc));
+  } else if (HardVerifyEnabled()) {
+    return report.ToStatus();
+  } else {
+    std::fprintf(stderr, "mdjoin: θ bytecode failed verification for %s: %s\n",
+                 expr->ToString().c_str(), report.ToStatus().message().c_str());
   }
   return out;
 }

@@ -17,12 +17,11 @@ namespace mdjoin {
 /// of times.
 ///
 /// Two execution engines back one CompiledExpr:
-///   - a flat bytecode program (expr/bytecode.h) — the default: one
+///   - a flat bytecode program (expr/bytecode.h) — the runtime evaluator: one
 ///     cache-resident instruction array walked by a tight dispatch loop;
-///   - the original closure tree — kept as the verification oracle
-///     (EvalTreeWalk) and as the runtime fallback when bytecode is disabled
-///     (MdJoinOptions::theta_bytecode = false, or the MDJOIN_THETA_BYTECODE=0
-///     environment kill-switch).
+///   - the original closure tree — kept as the oracle (EvalTreeWalk, which
+///     the Definition-3.1 reference evaluator runs) and as the fallback when
+///     a bytecode program fails verification.
 /// Both are compiled from the same AST and share the operator semantics in
 /// expr/eval_ops.h; the fuzz suite cross-checks them on random expressions.
 class CompiledExpr {
@@ -36,7 +35,8 @@ class CompiledExpr {
   bool EvalBool(const RowCtx& ctx) const { return Eval(ctx).IsTruthy(); }
 
   /// Always evaluates through the closure tree, bypassing bytecode. The
-  /// differential oracle for tests; not for hot paths.
+  /// differential oracle for the reference evaluator and tests; not for hot
+  /// paths.
   Value EvalTreeWalk(const RowCtx& ctx) const { return fn_(ctx); }
 
   /// Static result type inferred at compile time.
@@ -46,10 +46,6 @@ class CompiledExpr {
 
   bool has_bytecode() const { return bc_ != nullptr; }
   const BytecodeExpr* bytecode() const { return bc_.get(); }
-
-  /// Drops the bytecode program so Eval routes through the closure tree
-  /// (the theta_bytecode=false arm of A/B runs).
-  void DisableBytecode() { bc_.reset(); }
 
  private:
   friend Result<CompiledExpr> CompileExpr(const ExprPtr&, const Schema*, const Schema*);

@@ -229,6 +229,8 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
         stats->detail_rows_scanned += md_stats.detail_rows_scanned;
         stats->candidate_pairs += md_stats.candidate_pairs;
         stats->matched_pairs += md_stats.matched_pairs;
+        stats->blocks_read += md_stats.blocks_read;
+        stats->spill_bytes += md_stats.spill_bytes_written;
         if (profile != nullptr) {
           FillMdJoinProfile(profile, md_stats, plan->aggs.size());
           profile->num_threads = md_options.num_threads;
@@ -249,6 +251,7 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
         stats->detail_rows_scanned += md_stats.detail_rows_scanned;
         stats->candidate_pairs += md_stats.candidate_pairs;
         stats->matched_pairs += md_stats.matched_pairs;
+        stats->spill_bytes += md_stats.spill_bytes_written;
         if (profile != nullptr) {
           FillMdJoinProfile(profile, md_stats, plan->aggs.size());
           profile->num_threads = md_options.num_threads;

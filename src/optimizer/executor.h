@@ -17,6 +17,8 @@ struct ExecStats {
   int64_t mdjoin_operators = 0;      // MD-join nodes evaluated
   int64_t rows_materialized = 0;     // total output rows across nodes
   int64_t cse_hits = 0;              // subtree reuses (ExecutePlanCse only)
+  int64_t blocks_read = 0;           // paged detail blocks served (faults + hits)
+  int64_t spill_bytes = 0;           // bytes written to spill partition files
 };
 
 /// Executes `plan` against `catalog`. Every node materializes its result (an

@@ -9,7 +9,6 @@
 
 #include "common/failpoint.h"
 #include "core/detail_scan.h"
-#include "expr/conjuncts.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/morsel_scheduler.h"
@@ -28,7 +27,9 @@ struct WorkerSlot {
   Status status;
 };
 
-/// The shared morsel-driven engine behind both public entry points.
+/// The shared morsel-driven engine behind both public entry points. It runs
+/// the one detail-scan kernel over a component list; the public entry points
+/// pass one component.
 ///
 /// Phases:
 ///   1. Compile θ once; prepare one DetailScan job per Theorem 4.1 base
@@ -45,15 +46,12 @@ struct WorkerSlot {
 /// Errors anywhere trip the shared guard, so siblings stop at their next
 /// stride check and the first failure wins.
 Result<Table> RunMorselMdJoin(const char* op, bool base_split, const Table& base,
-                              const Table& detail, const std::vector<AggSpec>& aggs,
-                              const ExprPtr& theta, int num_partitions,
-                              int num_threads, const MdJoinOptions& options,
-                              ParallelMdJoinStats* stats) {
+                              const Table& detail,
+                              const std::vector<MdJoinComponent>& components,
+                              int num_partitions, int num_threads,
+                              const MdJoinOptions& options, ParallelMdJoinStats* stats) {
   if (num_partitions < 1 || num_threads < 1) {
     return Status::InvalidArgument(op, ": partitions and threads must be >= 1");
-  }
-  if (theta == nullptr) {
-    return Status::InvalidArgument(op, ": θ must not be null");
   }
   stats->num_partitions = num_partitions;
   stats->num_threads = num_threads;
@@ -67,13 +65,9 @@ Result<Table> RunMorselMdJoin(const char* op, bool base_split, const Table& base
   QueryGuard* guard = eff.guard;
   MDJ_RETURN_NOT_OK(guard->Check());
 
-  const bool vectorized = eff.execution_mode != ExecutionMode::kRow;
-  MDJ_ASSIGN_OR_RETURN(std::vector<BoundAgg> bound,
-                       BindAggs(aggs, &base.schema(), &detail.schema()));
-  ThetaParts parts = AnalyzeTheta(theta);
-  MDJ_ASSIGN_OR_RETURN(
-      CompiledTheta compiled_theta,
-      CompileTheta(parts, base.schema(), detail, eff, vectorized));
+  MDJ_ASSIGN_OR_RETURN(std::vector<ScanComponent> comps,
+                       BindComponents(op, base, detail, components, eff));
+  const size_t num_aggs = TotalAggs(comps);
 
   // Job list. Base split: one job per non-empty fragment (subdivided further
   // when base_rows_per_pass caps the rows a single scan may serve, matching
@@ -95,9 +89,7 @@ Result<Table> RunMorselMdJoin(const char* op, bool base_split, const Table& base
         std::vector<int64_t> pass_rows(static_cast<size_t>(hi - lo));
         std::iota(pass_rows.begin(), pass_rows.end(), lo);
         MDJ_ASSIGN_OR_RETURN(DetailScan job,
-                             DetailScan::Prepare(base, detail, bound, parts,
-                                                 &compiled_theta, std::move(pass_rows),
-                                                 eff));
+                             DetailScan::Prepare(base, detail, comps, pass_rows, eff));
         jobs.push_back(std::move(job));
       }
       start += len;
@@ -106,8 +98,7 @@ Result<Table> RunMorselMdJoin(const char* op, bool base_split, const Table& base
     std::vector<int64_t> all_rows(static_cast<size_t>(base.num_rows()));
     std::iota(all_rows.begin(), all_rows.end(), 0);
     MDJ_ASSIGN_OR_RETURN(DetailScan job,
-                         DetailScan::Prepare(base, detail, bound, parts,
-                                             &compiled_theta, std::move(all_rows), eff));
+                         DetailScan::Prepare(base, detail, comps, all_rows, eff));
     jobs.push_back(std::move(job));
   }
 
@@ -131,7 +122,7 @@ Result<Table> RunMorselMdJoin(const char* op, bool base_split, const Table& base
   ScopedReservation partials_bytes;
   MDJ_RETURN_NOT_OK(partials_bytes.Reserve(
       guard,
-      static_cast<int64_t>(workers) * static_cast<int64_t>(bound.size()) *
+      static_cast<int64_t>(workers) * static_cast<int64_t>(num_aggs) *
           base.num_rows() * kGuardBytesPerAggState,
       "parallel worker partials"));
 
@@ -152,8 +143,7 @@ Result<Table> RunMorselMdJoin(const char* op, bool base_split, const Table& base
           guard->Trip(slot.status);
           return;
         }
-        slot.worker =
-            std::make_unique<DetailScanWorker>(base, bound, vectorized, guard);
+        slot.worker = std::make_unique<DetailScanWorker>(base, comps, guard);
         Status st;
         int64_t last_job = -1;
         int64_t morsels = 0;
@@ -255,7 +245,7 @@ Result<Table> RunMorselMdJoin(const char* op, bool base_split, const Table& base
   MDJ_RETURN_NOT_OK(output_bytes.Reserve(
       guard,
       out_rows *
-          static_cast<int64_t>(base.num_columns() + static_cast<int>(bound.size())) *
+          static_cast<int64_t>(base.num_columns() + static_cast<int>(num_aggs)) *
           kGuardBytesPerOutputCell,
       "parallel output"));
 
@@ -263,7 +253,7 @@ Result<Table> RunMorselMdJoin(const char* op, bool base_split, const Table& base
   // cursor and fill the aggregate output columns in place (disjoint ranges,
   // read-only state — no synchronization beyond the cursor).
   std::vector<std::vector<Value>> agg_vals(
-      bound.size(), std::vector<Value>(static_cast<size_t>(out_rows)));
+      num_aggs, std::vector<Value>(static_cast<size_t>(out_rows)));
   MorselScheduler finalize_scheduler(1, out_rows, morsel);
   std::vector<Status> finalize_status(static_cast<size_t>(workers));
   {
@@ -280,8 +270,8 @@ Result<Table> RunMorselMdJoin(const char* op, bool base_split, const Table& base
           for (int64_t r = m.lo; r < m.hi; ++r) {
             st = ticket.Tick();
             if (!st.ok()) break;
-            for (size_t i = 0; i < bound.size(); ++i) {
-              agg_vals[i][static_cast<size_t>(r)] = merged.FinalizeCell(i, r);
+            for (size_t i = 0; i < num_aggs; ++i) {
+              agg_vals[i][static_cast<size_t>(r)] = merged.cols[i].Finalize(r);
             }
           }
         }
@@ -308,8 +298,11 @@ Result<Table> RunMorselMdJoin(const char* op, bool base_split, const Table& base
     MDJ_RETURN_NOT_OK(out.AddColumn(base_fields[static_cast<size_t>(c)],
                                     std::move(col)));
   }
-  for (size_t i = 0; i < bound.size(); ++i) {
-    MDJ_RETURN_NOT_OK(out.AddColumn(bound[i].output_field, std::move(agg_vals[i])));
+  size_t i = 0;
+  for (const ScanComponent& c : comps) {
+    for (const BoundAgg& agg : c.aggs) {
+      MDJ_RETURN_NOT_OK(out.AddColumn(agg.output_field, std::move(agg_vals[i++])));
+    }
   }
   return out;
 }
@@ -323,8 +316,9 @@ Result<Table> ParallelMdJoin(const Table& base, const Table& detail,
   ParallelMdJoinStats local;
   if (stats == nullptr) stats = &local;
   *stats = ParallelMdJoinStats{};
-  return RunMorselMdJoin("ParallelMdJoin", /*base_split=*/true, base, detail, aggs,
-                         theta, num_partitions, num_threads, options, stats);
+  return RunMorselMdJoin("ParallelMdJoin", /*base_split=*/true, base, detail,
+                         {MdJoinComponent{aggs, theta}}, num_partitions, num_threads,
+                         options, stats);
 }
 
 Result<Table> ParallelMdJoinDetailSplit(const Table& base, const Table& detail,
@@ -336,8 +330,8 @@ Result<Table> ParallelMdJoinDetailSplit(const Table& base, const Table& detail,
   if (stats == nullptr) stats = &local;
   *stats = ParallelMdJoinStats{};
   return RunMorselMdJoin("ParallelMdJoinDetailSplit", /*base_split=*/false, base,
-                         detail, aggs, theta, num_partitions, num_threads, options,
-                         stats);
+                         detail, {MdJoinComponent{aggs, theta}}, num_partitions,
+                         num_threads, options, stats);
 }
 
 }  // namespace mdjoin

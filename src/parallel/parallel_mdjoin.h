@@ -15,7 +15,7 @@ struct ParallelMdJoinStats {
   int64_t detail_rows_qualified = 0;
   int64_t candidate_pairs = 0;
   int64_t matched_pairs = 0;
-  // Vectorized-path counters (zero when workers ran the row path).
+  // Block-scan counters, summed over workers.
   int64_t blocks = 0;
   int64_t kernel_invocations = 0;
   // Cube-index probe-memo counters summed over workers (see MdJoinStats).

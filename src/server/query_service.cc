@@ -79,9 +79,8 @@ class ActiveGuardScope {
 };
 
 /// Folds a profiled operator tree into the ExecStats the unprofiled path
-/// would have produced, plus the storage counters the query record carries.
-void SumProfileCounters(const OperatorProfile& node, ExecStats* stats,
-                        QueryRecord* record) {
+/// would have produced.
+void SumProfileCounters(const OperatorProfile& node, ExecStats* stats) {
   ++stats->nodes_executed;
   stats->rows_materialized += node.output_rows;
   if (node.is_mdjoin) {
@@ -90,13 +89,18 @@ void SumProfileCounters(const OperatorProfile& node, ExecStats* stats,
     stats->candidate_pairs += node.candidate_pairs;
     stats->matched_pairs += node.matched_pairs;
   }
-  if (record != nullptr) {
-    record->blocks_read += node.blocks_read;
-    record->spill_bytes += node.spill_bytes_written;
-  }
+  stats->blocks_read += node.blocks_read;
+  stats->spill_bytes += node.spill_bytes_written;
   for (const auto& child : node.children) {
-    SumProfileCounters(*child, stats, record);
+    SumProfileCounters(*child, stats);
   }
+}
+
+/// The storage counters the query record carries, from either engine path.
+void RecordStorageCounters(const ExecStats& stats, QueryRecord* record) {
+  if (record == nullptr) return;
+  record->blocks_read = stats.blocks_read;
+  record->spill_bytes = stats.spill_bytes;
 }
 
 /// Terminal-outcome label for the query record.
@@ -193,7 +197,9 @@ Result<Table> QueryService::RunEngine(const PlanPtr& plan, const Catalog& catalo
   md.num_threads = threads;
   if (block_cache_ != nullptr) md.block_cache = block_cache_.get();
   if (!options_.collect_feedback) {
-    return ExecutePlanCse(plan, catalog, md, stats);
+    Result<Table> out = ExecutePlanCse(plan, catalog, md, stats);
+    RecordStorageCounters(*stats, record);
+    return out;
   }
   // Feedback mode: run profiled (no CSE — the measurements must reflect the
   // plan as written), harvest measured cardinalities into the store, and
@@ -202,8 +208,9 @@ Result<Table> QueryService::RunEngine(const PlanPtr& plan, const Catalog& catalo
   QueryProfile profile;
   Result<Table> out = ExplainAnalyze(plan, catalog, md, &profile);
   if (profile.root != nullptr) {
-    SumProfileCounters(*profile.root, stats, record);
+    SumProfileCounters(*profile.root, stats);
   }
+  RecordStorageCounters(*stats, record);
   if (record != nullptr) {
     record->max_qerror = profile.max_qerror;
     record->cpu_ms = profile.root != nullptr ? profile.root->cpu_ms : 0;

@@ -201,20 +201,17 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
   QueryGuard* guard = options.guard;
   if (guard != nullptr) MDJ_RETURN_NOT_OK(guard->Check());
 
-  MDJ_ASSIGN_OR_RETURN(std::vector<BoundAgg> bound,
-                       BindAggs(aggs, &base.schema(), &detail.schema()));
-  ThetaParts parts = AnalyzeTheta(theta);
-
   // θ compiles against a zero-row stub carrying the detail schema: every
   // chunk the scan sees is a decoded block, foreign to the prepared table, so
   // the typed-mirror machinery (which hoists pointers into the prepared
   // table's storage) must stay off. The stub outlives every scan below.
   MdJoinOptions eff = options;
   eff.use_flat_columns = false;
-  const bool vectorized = eff.execution_mode != ExecutionMode::kRow;
   Table stub{detail.schema()};
-  MDJ_ASSIGN_OR_RETURN(CompiledTheta ct,
-                       CompileTheta(parts, base.schema(), stub, eff, vectorized));
+  MDJ_ASSIGN_OR_RETURN(
+      std::vector<ScanComponent> comps,
+      BindComponents("PagedMdJoin", base, stub, {MdJoinComponent{aggs, theta}}, eff));
+  const size_t num_aggs = TotalAggs(comps);
 
   // The pruning plan is pass-independent: compute keep[] once, walk only the
   // survivors every pass.
@@ -229,32 +226,17 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
 
   ScopedReservation state_bytes;
   MDJ_RETURN_NOT_OK(state_bytes.Reserve(
-      guard,
-      static_cast<int64_t>(bound.size()) * base.num_rows() * kGuardBytesPerAggState,
+      guard, static_cast<int64_t>(num_aggs) * base.num_rows() * kGuardBytesPerAggState,
       "aggregate states"));
 
   // Theorem 4.1 staging and guard degradation, exactly as the in-memory
   // driver: more passes over the (pruned) block list instead of more memory.
-  int64_t budget =
-      options.base_rows_per_pass > 0 ? options.base_rows_per_pass : base.num_rows();
-  if (guard != nullptr && guard->has_memory_budget() && ct.indexed &&
-      base.num_rows() > 0) {
-    const int64_t fit = guard->remaining_soft_bytes() / kGuardBytesPerIndexedBaseRow;
-    if (fit < budget) {
-      budget = std::max<int64_t>(1, fit);
-      stats->memory_degraded = true;
-    }
-  }
-  stats->base_rows_per_pass_effective = budget;
+  const int64_t budget = PlanPassBudget(base.num_rows(), comps, options, stats);
 
   // Short-circuit when no block can contribute: everything pruned (or the
   // file is empty), or θ constant-folds non-truthy. Outer semantics still
   // emit every base row with identity aggregates.
-  ExprPtr folded_theta = FoldConstants(theta);
-  const bool provably_empty =
-      kept.empty() ||
-      (folded_theta != nullptr && folded_theta->kind() == ExprKind::kLiteral &&
-       !folded_theta->literal().IsTruthy());
+  const bool provably_empty = kept.empty() || comps[0].never_matches;
 
   int workers = 1;
   if (!provably_empty && options.num_threads > 1) {
@@ -273,7 +255,7 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
   if (workers > 1) {
     MDJ_RETURN_NOT_OK(partials_bytes.Reserve(
         guard,
-        static_cast<int64_t>(workers - 1) * static_cast<int64_t>(bound.size()) *
+        static_cast<int64_t>(workers - 1) * static_cast<int64_t>(num_aggs) *
             base.num_rows() * kGuardBytesPerAggState,
         "parallel worker partials"));
   }
@@ -293,8 +275,7 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
   auto scan_blocks = [&](Slot* slot, const DetailScan& scan,
                          std::atomic<size_t>* cursor) -> Status {
     if (slot->worker == nullptr) {
-      slot->worker =
-          std::make_unique<DetailScanWorker>(base, bound, vectorized, guard);
+      slot->worker = std::make_unique<DetailScanWorker>(base, comps, guard);
     }
     slot->worker->BeginJob();
     for (;;) {
@@ -332,20 +313,16 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
       stats->blocks_pruned += detail.num_blocks();
       return Status::OK();
     }
-    std::vector<int64_t> all_rows(static_cast<size_t>(base.num_rows()));
-    std::iota(all_rows.begin(), all_rows.end(), 0);
     for (int64_t start = 0; start < base.num_rows(); start += budget) {
       Span pass_span("paged_mdjoin.pass", "storage");
       pass_span.SetArg("pass", stats->passes_over_detail);
       const int64_t end = std::min(start + budget, base.num_rows());
-      std::vector<int64_t> pass_rows(all_rows.begin() + start,
-                                     all_rows.begin() + end);
+      std::vector<int64_t> pass_rows(static_cast<size_t>(end - start));
+      std::iota(pass_rows.begin(), pass_rows.end(), start);
       ++stats->passes_over_detail;
       stats->blocks_pruned += pruned_per_pass;
-      MDJ_ASSIGN_OR_RETURN(
-          DetailScan scan,
-          DetailScan::Prepare(base, stub, bound, parts, &ct, std::move(pass_rows),
-                              eff));
+      MDJ_ASSIGN_OR_RETURN(DetailScan scan,
+                           DetailScan::Prepare(base, stub, comps, pass_rows, eff));
       stats->index_masks += scan.index_masks();
       pass_span.SetArg("base_rows", end - start);
       std::atomic<size_t> cursor{0};
@@ -390,32 +367,14 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
   // short-circuit paths never made a worker: create one so finalization has
   // the pre-allocated identity states.
   if (slots[0].worker == nullptr) {
-    slots[0].worker =
-        std::make_unique<DetailScanWorker>(base, bound, vectorized, guard);
+    slots[0].worker = std::make_unique<DetailScanWorker>(base, comps, guard);
   }
   for (size_t w = 1; w < slots.size(); ++w) {
     if (slots[w].worker == nullptr) continue;
     MDJ_RETURN_NOT_OK(
         MergeWorkerPartials(slots[0].worker.get(), *slots[w].worker, guard));
   }
-  const DetailScanWorker& merged = *slots[0].worker;
-
-  std::vector<Field> fields = base.schema().fields();
-  for (const BoundAgg& b : bound) fields.push_back(b.output_field);
-  ScopedReservation output_bytes;
-  MDJ_RETURN_NOT_OK(output_bytes.Reserve(
-      guard,
-      base.num_rows() * static_cast<int64_t>(fields.size()) * kGuardBytesPerOutputCell,
-      "materialized output"));
-  Table out{Schema(std::move(fields))};
-  out.Reserve(base.num_rows());
-  for (int64_t r = 0; r < base.num_rows(); ++r) {
-    std::vector<Value> row = base.GetRow(r);
-    for (size_t i = 0; i < bound.size(); ++i) {
-      row.push_back(merged.FinalizeCell(i, r));
-    }
-    out.AppendRowUnchecked(std::move(row));
-  }
+  MDJ_ASSIGN_OR_RETURN(Table out, AssembleOutput(base, comps, *slots[0].worker, guard));
   span.SetArg("blocks_read", stats->blocks_read);
   span.SetArg("blocks_pruned", stats->blocks_pruned);
   return out;

@@ -13,8 +13,8 @@ namespace mdjoin {
 /// The out-of-core MD-join: MdJoin() semantics with the detail relation living
 /// in a block file (storage/block_format) instead of RAM. Bit-identical to the
 /// in-memory evaluator — same row order, same float accumulation order — in
-/// every mode combination (row/vectorized × sequential/parallel × spill
-/// on/off); the A/B tests in out_of_core_test.cc enforce exactly that.
+/// every combination of sequential/parallel × spill on/off; the tests in
+/// out_of_core_test.cc check each against the Definition-3.1 reference.
 ///
 /// Per pass the driver walks the file's blocks in order, but first refutes
 /// each block against its footer zone maps (ZoneCouldMatch over the

@@ -43,11 +43,9 @@ std::vector<int64_t> AllRows(const Table& t) {
 }
 
 std::vector<int64_t> Probe(const BaseIndex& index, const Table& detail, int64_t row) {
-  RowCtx ctx;
-  ctx.detail = &detail;
-  ctx.detail_row = row;
+  BaseIndex::ProbeScratch scratch;
   std::vector<int64_t> out;
-  index.Probe(ctx, &out);
+  index.Probe(detail, row, &scratch, &out);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -92,10 +90,11 @@ TEST(BaseIndexTest, NullDetailKeyMatchesNothing) {
   Result<BaseIndex> index = BaseIndex::Build(base, AllRows(base), DimEqui(),
                                              detail.schema());
   ASSERT_TRUE(index.ok());
-  // The (1,2) row needs prod which is NULL -> no match. The (ALL,ALL) bucket
-  // has no probe positions at all -> matches (NULL never reaches a
-  // comparison there).
-  EXPECT_EQ(Probe(*index, detail, 0), (std::vector<int64_t>{1}));
+  // The (1,2) row needs prod which is NULL -> no match. The (ALL,ALL) row
+  // does not match either: θ-equality (Value::MatchesEq) never holds on a
+  // NULL, even against ALL — the same verdict the residual path and the
+  // reference evaluator reach.
+  EXPECT_EQ(Probe(*index, detail, 0), (std::vector<int64_t>{}));
 }
 
 TEST(BaseIndexTest, DetailSideAllTriggersWildcardWalk) {

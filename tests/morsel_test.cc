@@ -1,7 +1,8 @@
 /// Morsel-driven parallel MD-join coverage: scheduler unit behavior
 /// (complete, disjoint coverage of the unit space under concurrent pulls),
-/// bit-identical results across thread counts, morsel sizes, and θ shapes
-/// for both public entry points, executor routing via
+/// results bit-identical to the Definition-3.1 reference across thread
+/// counts, morsel sizes, and θ shapes for both public entry points, executor
+/// routing via
 /// MdJoinOptions::num_threads, failpoint-driven cancellation landing
 /// mid-morsel, and the guard short-circuit inside the partial-state merge.
 
@@ -17,6 +18,7 @@
 #include "common/query_guard.h"
 #include "core/detail_scan.h"
 #include "core/mdjoin.h"
+#include "core/reference.h"
 #include "cube/base_tables.h"
 #include "optimizer/executor.h"
 #include "optimizer/plan.h"
@@ -115,13 +117,16 @@ TEST_F(MorselTest, SchedulerConcurrentPullsAreDisjointAndComplete) {
 
 /// The determinism matrix of the acceptance criteria: for every θ shape,
 /// thread count, and morsel size — including morsel 1 (maximum interleaving)
-/// and morsel |R| (the legacy static split) — both entry points must produce
-/// exactly the sequential evaluator's table. TablesEqualOrdered compares
-/// cells with Value::Equals, i.e. doubles bit-for-bit; the sales amounts are
-/// integer-valued so float sums are exact under any merge order.
+/// and morsel |R| (the legacy static split) — both entry points and the
+/// sequential evaluator must produce exactly the reference's table, bit for
+/// bit; the sales amounts are integer-valued so float sums are exact under
+/// any merge order. count_distinct keeps a heap-fallback column in the
+/// partials, so the per-cell virtual Merge inside MergeWorkerPartials runs
+/// too.
 TEST_F(MorselTest, BitIdenticalAcrossThreadsMorselsAndThetaShapes) {
   Table sales = testutil::RandomSales(71, 400);
   Table flat_base = *GroupByBase(sales, {"cust", "month"});
+  Table cust_base = *GroupByBase(sales, {"cust"});
   Table cube_base = *CubeByBase(sales, {"prod", "month"});
 
   struct Shape {
@@ -130,6 +135,7 @@ TEST_F(MorselTest, BitIdenticalAcrossThreadsMorselsAndThetaShapes) {
     ExprPtr theta;
   };
   std::vector<Shape> shapes = {
+      {"cust", &cust_base, Eq(RCol("cust"), BCol("cust"))},
       {"equi", &flat_base,
        And(Eq(RCol("cust"), BCol("cust")), Eq(RCol("month"), BCol("month")))},
       {"equi+residual", &flat_base,
@@ -143,10 +149,13 @@ TEST_F(MorselTest, BitIdenticalAcrossThreadsMorselsAndThetaShapes) {
                                CountDistinct(RCol("prod"), "dp")};
 
   for (const Shape& shape : shapes) {
+    Result<Table> reference = MdJoinReference(*shape.base, sales, aggs, shape.theta);
+    ASSERT_TRUE(reference.ok()) << shape.name;
     Result<Table> sequential = MdJoin(*shape.base, sales, aggs, shape.theta);
     ASSERT_TRUE(sequential.ok()) << shape.name;
+    EXPECT_TRUE(testutil::TablesBitIdentical(*reference, *sequential)) << shape.name;
     for (int threads : {1, 2, 8}) {
-      for (int64_t morsel : {int64_t{1}, int64_t{1024}, sales.num_rows()}) {
+      for (int64_t morsel : {int64_t{1}, int64_t{37}, int64_t{1024}, sales.num_rows()}) {
         MdJoinOptions options;
         options.morsel_size = morsel;
         ParallelMdJoinStats stats;
@@ -156,7 +165,7 @@ TEST_F(MorselTest, BitIdenticalAcrossThreadsMorselsAndThetaShapes) {
         ASSERT_TRUE(split.ok()) << shape.name << " threads=" << threads
                                 << " morsel=" << morsel << ": "
                                 << split.status().ToString();
-        EXPECT_TRUE(TablesEqualOrdered(*sequential, *split))
+        EXPECT_TRUE(testutil::TablesBitIdentical(*reference, *split))
             << "base split: " << shape.name << " threads=" << threads
             << " morsel=" << morsel;
         EXPECT_EQ(stats.total_detail_rows_scanned, 4 * sales.num_rows());
@@ -167,33 +176,12 @@ TEST_F(MorselTest, BitIdenticalAcrossThreadsMorselsAndThetaShapes) {
         ASSERT_TRUE(detail.ok()) << shape.name << " threads=" << threads
                                  << " morsel=" << morsel << ": "
                                  << detail.status().ToString();
-        EXPECT_TRUE(TablesEqualOrdered(*sequential, *detail))
+        EXPECT_TRUE(testutil::TablesBitIdentical(*reference, *detail))
             << "detail split: " << shape.name << " threads=" << threads
             << " morsel=" << morsel;
         EXPECT_EQ(stats.total_detail_rows_scanned, sales.num_rows());
       }
     }
-  }
-}
-
-/// Same matrix, row execution mode: covers the heap-state scan path and the
-/// per-cell virtual Merge inside MergeWorkerPartials.
-TEST_F(MorselTest, RowModeMatchesSequentialUnderMorsels) {
-  Table sales = testutil::RandomSales(73, 300);
-  Table base = *GroupByBase(sales, {"cust"});
-  ExprPtr theta = Eq(RCol("cust"), BCol("cust"));
-  std::vector<AggSpec> aggs = {Count("n"), Sum(RCol("sale"), "total"),
-                               CountDistinct(RCol("prod"), "dp")};
-  MdJoinOptions options;
-  options.execution_mode = ExecutionMode::kRow;
-  Result<Table> sequential = MdJoin(base, sales, aggs, theta, options);
-  ASSERT_TRUE(sequential.ok());
-  for (int64_t morsel : {int64_t{1}, int64_t{37}, sales.num_rows()}) {
-    options.morsel_size = morsel;
-    Result<Table> parallel =
-        ParallelMdJoinDetailSplit(base, sales, aggs, theta, 8, 8, options);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_TRUE(TablesEqualOrdered(*sequential, *parallel)) << "morsel=" << morsel;
   }
 }
 
@@ -269,28 +257,29 @@ TEST_F(MorselTest, WorkerFailpointPropagatesFirstError) {
 }
 
 /// Regression for the merge-tail guard gap: cancellation must be honored
-/// inside the per-cell Merge loop (heap states) and the column MergeRange
-/// chunks, not only during scans. A pre-cancelled stride-1 guard has to stop
-/// the merge at its first tick.
+/// inside the column MergeRange chunks — flat columns and the heap-fallback
+/// column of count_distinct alike — not only during scans. A pre-cancelled
+/// stride-1 guard has to stop the merge at its first tick.
 TEST_F(MorselTest, MergeShortCircuitsOnCancelledGuard) {
   Table sales = testutil::RandomSales(97, 50);
   Table base = *GroupByBase(sales, {"cust"});
-  Result<std::vector<BoundAgg>> bound =
-      BindAggs({Count("n"), CountDistinct(RCol("prod"), "dp")}, &base.schema(),
-               &sales.schema());
-  ASSERT_TRUE(bound.ok());
+  Result<std::vector<ScanComponent>> comps = BindComponents(
+      "test", base, sales,
+      {MdJoinComponent{{Count("n"), CountDistinct(RCol("prod"), "dp")},
+                       Eq(RCol("cust"), BCol("cust"))}},
+      MdJoinOptions{});
+  ASSERT_TRUE(comps.ok()) << comps.status().ToString();
 
-  for (bool vectorized : {false, true}) {
-    QueryGuardOptions guard_options;
-    guard_options.check_stride = 1;
-    QueryGuard guard(guard_options);
-    DetailScanWorker into(base, *bound, vectorized, &guard);
-    DetailScanWorker from(base, *bound, vectorized, &guard);
-    guard.Cancel();
-    Status st = MergeWorkerPartials(&into, from, &guard);
-    ASSERT_FALSE(st.ok()) << "vectorized=" << vectorized;
-    EXPECT_EQ(st.code(), StatusCode::kCancelled) << "vectorized=" << vectorized;
-  }
+  QueryGuardOptions guard_options;
+  guard_options.check_stride = 1;
+  QueryGuard guard(guard_options);
+  DetailScanWorker into(base, *comps, &guard);
+  DetailScanWorker from(base, *comps, &guard);
+  ASSERT_FALSE(into.cols[1].is_flat());  // the heap-fallback column
+  guard.Cancel();
+  Status st = MergeWorkerPartials(&into, from, &guard);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kCancelled);
 }
 
 }  // namespace

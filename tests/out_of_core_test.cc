@@ -1,6 +1,6 @@
-// A/B tests for the out-of-core MD-join (storage/out_of_core): PagedMdJoin
-// must be bit-identical to the in-memory MdJoin across the full mode matrix
-// — {1, 2, 8} threads × {vectorized, row} × {spill on, spill off} — plus
+// Tests for the out-of-core MD-join (storage/out_of_core): PagedMdJoin must
+// be bit-identical to the Definition-3.1 reference across the full matrix
+// — {1, 2, 8} threads × {spill on, spill off} — plus
 // zone-map pruning effectiveness, ALL/NULL equi-key spill routing, the
 // catalog/executor paged path, and block-cache accounting under a query
 // guard.
@@ -18,6 +18,7 @@
 #include "analyze/binder.h"
 #include "common/query_guard.h"
 #include "core/mdjoin.h"
+#include "core/reference.h"
 #include "cube/base_tables.h"
 #include "obs/query_profile.h"
 #include "optimizer/executor.h"
@@ -40,42 +41,7 @@ using testutil::F;
 using testutil::I;
 using testutil::NUL;
 using testutil::S;
-
-/// Bit-exact cell comparison (doubles by bit pattern).
-bool BitEq(const Value& a, const Value& b) {
-  if (a.is_null()) return b.is_null();
-  if (a.is_all()) return b.is_all();
-  if (a.is_int64()) return b.is_int64() && a.int64() == b.int64();
-  if (a.is_float64()) {
-    if (!b.is_float64()) return false;
-    uint64_t ba, bb;
-    const double da = a.float64(), db = b.float64();
-    std::memcpy(&ba, &da, sizeof(ba));
-    std::memcpy(&bb, &db, sizeof(bb));
-    return ba == bb;
-  }
-  return b.is_string() && a.string() == b.string();
-}
-
-::testing::AssertionResult TablesBitIdentical(const Table& a, const Table& b) {
-  if (a.num_rows() != b.num_rows()) {
-    return ::testing::AssertionFailure()
-           << "row counts differ: " << a.num_rows() << " vs " << b.num_rows();
-  }
-  if (a.num_columns() != b.num_columns()) {
-    return ::testing::AssertionFailure() << "column counts differ";
-  }
-  for (int64_t r = 0; r < a.num_rows(); ++r) {
-    for (int c = 0; c < a.num_columns(); ++c) {
-      if (!BitEq(a.Get(r, c), b.Get(r, c))) {
-        return ::testing::AssertionFailure()
-               << "cell (" << r << ", " << c << ") differs: "
-               << a.Get(r, c).ToString() << " vs " << b.Get(r, c).ToString();
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
+using testutil::TablesBitIdentical;
 
 /// Writes `table` to a block file under the temp dir and opens it paged.
 class PagedFixture {
@@ -112,7 +78,8 @@ ExprPtr SelectiveTheta(double threshold) {
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance matrix: {1,2,8} threads × {vectorized,row} × {spill on,off}
+// The acceptance matrix: {1,2,8} threads × {spill on,off}, against the
+// reference
 
 TEST(OutOfCoreTest, BitIdenticalAcrossModeMatrix) {
   Table sales = testutil::RandomSales(3, 500);
@@ -125,30 +92,26 @@ TEST(OutOfCoreTest, BitIdenticalAcrossModeMatrix) {
   PagedFixture paged(sales, 64, "matrix");
   BlockCache cache(BlockCache::Options{});
 
+  Result<Table> expect = MdJoinReference(*base, sales, aggs, theta);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  Result<Table> in_memory = MdJoin(*base, sales, aggs, theta);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  EXPECT_TRUE(TablesBitIdentical(*expect, *in_memory));
   for (int threads : {1, 2, 8}) {
-    for (ExecutionMode mode : {ExecutionMode::kVectorized, ExecutionMode::kRow}) {
-      MdJoinOptions reference_options;
-      reference_options.execution_mode = mode;
-      Result<Table> expect = MdJoin(*base, sales, aggs, theta, reference_options);
-      ASSERT_TRUE(expect.ok()) << expect.status().ToString();
-      for (bool spill : {false, true}) {
-        MdJoinOptions md;
-        md.execution_mode = mode;
-        md.num_threads = threads;
-        md.block_cache = &cache;
-        md.enable_spill = spill;
-        md.spill_partitions = spill ? 3 : 0;
-        MdJoinStats stats;
-        Result<Table> got = PagedMdJoin(*base, paged.table(), aggs, theta, md,
-                                        &stats);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_TRUE(TablesBitIdentical(*expect, *got))
-            << "threads=" << threads << " vectorized="
-            << (mode == ExecutionMode::kVectorized) << " spill=" << spill;
-        EXPECT_GT(stats.blocks_read, 0) << "paged run decoded no blocks";
-        if (spill) {
-          EXPECT_EQ(stats.spill_partitions, 3);
-        }
+    for (bool spill : {false, true}) {
+      MdJoinOptions md;
+      md.num_threads = threads;
+      md.block_cache = &cache;
+      md.enable_spill = spill;
+      md.spill_partitions = spill ? 3 : 0;
+      MdJoinStats stats;
+      Result<Table> got = PagedMdJoin(*base, paged.table(), aggs, theta, md, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(TablesBitIdentical(*expect, *got))
+          << "threads=" << threads << " spill=" << spill;
+      EXPECT_GT(stats.blocks_read, 0) << "paged run decoded no blocks";
+      if (spill) {
+        EXPECT_EQ(stats.spill_partitions, 3);
       }
     }
   }
@@ -329,14 +292,16 @@ TEST(OutOfCoreTest, SpillRoutesAllAndNullKeys) {
   EXPECT_TRUE(TablesBitIdentical(*expect, *paged_spilled));
 
   // Spot-check the semantics this encodes: NULL-key base row matched nothing
-  // (count 0); ALL-key base row is unconstrained on the equi attribute — the
-  // conjunct drops away entirely, so it matches every detail row including
-  // the NULL-key one (all 5 here). The in-memory base index encodes base-side
-  // ALL as a bucket with no probe positions, and the spill router must
-  // reproduce that by broadcasting ALL-key base rows against the full detail.
+  // (count 0); ALL-key base row matches every detail row whose key is not
+  // NULL (4 of 5 here: θ-equality is Value::MatchesEq, which never holds on
+  // NULL). The spill router broadcasts ALL-key base rows against the full
+  // detail, and the broadcast join drops the NULL-key detail row itself.
   EXPECT_EQ(spilled->Get(2, 1).int64(), 0);
   EXPECT_TRUE(spilled->Get(2, 2).is_null());
-  EXPECT_EQ(spilled->Get(3, 1).int64(), 5);
+  EXPECT_EQ(spilled->Get(3, 1).int64(), 4);
+  Result<Table> reference = MdJoinReference(base, detail, aggs, theta);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_TRUE(TablesBitIdentical(*reference, *spilled));
 }
 
 TEST(OutOfCoreTest, SpillUnderGuardLeavesNoReservations) {

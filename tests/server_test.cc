@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +21,9 @@
 #include "optimizer/executor.h"
 #include "optimizer/rules.h"
 #include "server/query_service.h"
+#include "storage/block_format.h"
+#include "storage/out_of_core.h"
+#include "storage/paged_table.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
 
@@ -521,6 +525,51 @@ TEST_F(ServerTest, ServiceExecutesCachesAndCountsHits) {
 
   // Budget fully returned once both queries finished.
   EXPECT_EQ(service.admission().threads_in_use(), 0);
+}
+
+TEST_F(ServerTest, PagedQueryRecordsBlocksReadWithoutFeedback) {
+  // The plain (CSE) engine path must carry the paged scan's block counters
+  // into the query record, not only the profiled collect_feedback path.
+  Table big = testutil::RandomSales(17, 300);
+  const std::string path = std::filesystem::temp_directory_path().string() +
+                           "/mdjoin_server_test_paged_" +
+                           std::to_string(reinterpret_cast<uintptr_t>(&big));
+  BlockFileOptions block_options;
+  block_options.block_size_rows = 32;
+  ASSERT_TRUE(WriteBlockFile(big, path, block_options).ok());
+  Result<std::unique_ptr<PagedTable>> paged = PagedTable::Open(path);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  ASSERT_TRUE(RegisterPagedTable(&catalog_, "psales", **paged).ok());
+
+  const ExprPtr theta = Eq(RCol("cust"), BCol("cust"));
+  const std::vector<AggSpec> aggs = {Count("n"), Sum(RCol("sale"), "total")};
+  PlanPtr custs = DistinctPlan(ProjectPlan(TableRef("sales"), {{Col("cust"), "cust"}}));
+  PlanPtr plan = MdJoinPlan(custs, TableRef("psales"), aggs, theta);
+  // The blocks the same scan reads when run directly.
+  Result<Table> base = ExecutePlan(custs, catalog_);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  MdJoinStats direct;
+  ASSERT_TRUE(PagedMdJoin(*base, **paged, aggs, theta, {}, &direct).ok());
+  ASSERT_GT(direct.blocks_read, 0);
+
+  QueryServiceOptions options;
+  options.cache_capacity_bytes = 0;
+  ASSERT_FALSE(options.collect_feedback);
+  {
+    QueryService service(catalog_, options);
+    auto session = service.OpenSession();
+    Result<QueryResult> result = session->Execute(plan);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.exec.blocks_read, direct.blocks_read);
+    ASSERT_NE(service.history(), nullptr);
+    std::vector<QueryRecord> records = service.history()->Snapshot();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].blocks_read, direct.blocks_read);
+    EXPECT_EQ(records[0].spill_bytes, 0);
+  }
+  paged->reset();
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
 }
 
 TEST_F(ServerTest, ServiceRollupHitServesCoarserFromCachedFiner) {

@@ -8,8 +8,9 @@
 ///   - the bytecode interpreter vs the closure-tree walker on random
 ///     expression trees (NULL/ALL/NaN-laden rows)
 ///   - typed AggStateColumn updates vs the Value-at-a-time Update
-///   - whole MD-joins across the {simd, use_flat_columns, theta_bytecode,
-///     execution_mode} option matrix, bit-identical to the row-mode oracle
+///   - whole MD-joins across the {simd, use_flat_columns, block_size} option
+///     matrix, bit-identical to the Definition-3.1 reference (core/reference.h)
+///     and with work counters equal across the matrix
 ///
 /// Everything is seeded — failures reproduce.
 
@@ -26,6 +27,7 @@
 #include "common/random.h"
 #include "common/simd.h"
 #include "core/mdjoin.h"
+#include "core/reference.h"
 #include "expr/compile.h"
 #include "expr/conjuncts.h"
 #include "expr/kernels.h"
@@ -410,12 +412,9 @@ TEST_P(SimdFuzz, BytecodeMatchesTreeWalk) {
       }
     }
   }
-  // Unless the process-wide kill switch is set, every expression must have
-  // lowered (compiled->Eval would otherwise just re-test the tree walker).
-  const char* env = std::getenv("MDJOIN_THETA_BYTECODE");
-  if (env == nullptr || std::string(env) != "0") {
-    EXPECT_EQ(bytecode_seen, 80);
-  }
+  // Every expression must have lowered (compiled->Eval would otherwise just
+  // re-test the tree walker).
+  EXPECT_EQ(bytecode_seen, 80);
 }
 
 TEST_P(SimdFuzz, TypedAggUpdatesMatchValueUpdates) {
@@ -500,29 +499,43 @@ TEST_P(SimdFuzz, MdJoinIdenticalAcrossBackends) {
           In(RCol("state"), {S("NY"), S("NJ"), S("CT")}))};
 
   for (const ExprPtr& theta : thetas) {
-    MdJoinOptions oracle_options;
-    oracle_options.execution_mode = ExecutionMode::kRow;
-    oracle_options.simd = simd::Backend::kScalar;
-    oracle_options.use_flat_columns = false;
-    oracle_options.theta_bytecode = false;
-    Result<Table> oracle = MdJoin(base, detail, aggs, theta, oracle_options);
+    Result<Table> oracle = MdJoinReference(base, detail, aggs, theta);
     ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    int64_t count_star = 0;
+    for (int64_t r = 0; r < oracle->num_rows(); ++r) {
+      count_star += oracle->Get(r, base.num_columns()).int64();
+    }
 
+    MdJoinStats first;
+    bool have_first = false;
     for (simd::Level level : AvailableLevels()) {
       for (int flat = 0; flat < 2; ++flat) {
-        for (int bytecode = 0; bytecode < 2; ++bytecode) {
+        for (int block_size : {1024, 37}) {
           MdJoinOptions options;
-          options.execution_mode = ExecutionMode::kVectorized;
           options.simd = level == simd::Level::kScalar ? simd::Backend::kScalar
                          : level == simd::Level::kAvx2 ? simd::Backend::kAvx2
                                                        : simd::Backend::kNeon;
           options.use_flat_columns = flat == 1;
-          options.theta_bytecode = bytecode == 1;
-          Result<Table> got = MdJoin(base, detail, aggs, theta, options);
+          options.block_size = block_size;
+          MdJoinStats stats;
+          Result<Table> got = MdJoin(base, detail, aggs, theta, options, &stats);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
-          EXPECT_TRUE(TablesEqualOrdered(*oracle, *got))
-              << "level=" << simd::LevelName(level) << " flat=" << flat
-              << " bytecode=" << bytecode;
+          const std::string arm = std::string("level=") + simd::LevelName(level) +
+                                  " flat=" + std::to_string(flat) +
+                                  " block=" + std::to_string(block_size);
+          EXPECT_TRUE(testutil::TablesBitIdentical(*oracle, *got)) << arm;
+          // Counters derived from the oracle: every matched pair is one
+          // count(*) increment, and one pass reads R once.
+          EXPECT_EQ(stats.matched_pairs, count_star) << arm;
+          EXPECT_EQ(stats.detail_rows_scanned, detail.num_rows()) << arm;
+          if (!have_first) {
+            first = stats;
+            have_first = true;
+            continue;
+          }
+          EXPECT_EQ(stats.detail_rows_qualified, first.detail_rows_qualified) << arm;
+          EXPECT_EQ(stats.candidate_pairs, first.candidate_pairs) << arm;
+          EXPECT_EQ(stats.index_masks, first.index_masks) << arm;
         }
       }
     }

@@ -1,6 +1,9 @@
 #ifndef MDJOIN_TESTS_TEST_UTIL_H_
 #define MDJOIN_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -66,6 +69,44 @@ inline Table RandomSales(uint64_t seed, int64_t rows, int64_t num_cust = 6,
                       F(static_cast<double>(rng.UniformInt(1, 500)))});
   }
   return std::move(b).Finish();
+}
+
+/// Bit-exact cell comparison: doubles by bit pattern, so NaN equals the same
+/// NaN and -0.0 differs from +0.0 (Value::Equals treats both the other way).
+inline bool BitEq(const Value& a, const Value& b) {
+  if (a.is_null()) return b.is_null();
+  if (a.is_all()) return b.is_all();
+  if (a.is_int64()) return b.is_int64() && a.int64() == b.int64();
+  if (a.is_float64()) {
+    if (!b.is_float64()) return false;
+    uint64_t ba, bb;
+    const double da = a.float64(), db = b.float64();
+    std::memcpy(&ba, &da, sizeof(ba));
+    std::memcpy(&bb, &db, sizeof(bb));
+    return ba == bb;
+  }
+  return b.is_string() && a.string() == b.string();
+}
+
+/// Ordered, bit-exact table comparison (schemas must agree on names/types).
+inline ::testing::AssertionResult TablesBitIdentical(const Table& a, const Table& b) {
+  if (!a.schema().Equals(b.schema())) {
+    return ::testing::AssertionFailure() << "schemas differ";
+  }
+  if (a.num_rows() != b.num_rows()) {
+    return ::testing::AssertionFailure()
+           << "row counts differ: " << a.num_rows() << " vs " << b.num_rows();
+  }
+  for (int64_t r = 0; r < a.num_rows(); ++r) {
+    for (int c = 0; c < a.num_columns(); ++c) {
+      if (!BitEq(a.Get(r, c), b.Get(r, c))) {
+        return ::testing::AssertionFailure()
+               << "cell (" << r << ", " << c << ") differs: "
+               << a.Get(r, c).ToString() << " vs " << b.Get(r, c).ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace testutil
