@@ -1,8 +1,9 @@
 /// E10 — §4.1.2 intra-operator parallelism. Two decompositions:
 ///   (a) Theorem 4.1 base split: m fragments of B, each scanning all of R
 ///       on a worker (total scan work m × |R|);
-///   (b) detail split: R partitioned, per-fragment partial aggregate states
-///       merged via the UDAF Merge callback (one logical scan).
+///   (b) detail split: plain MdJoin with options.num_threads — R's morsels
+///       shared by the workers, per-worker partial aggregate states merged
+///       via the UDAF Merge callback (one logical scan).
 /// plus the scheduling A/B (BM_StaticVsMorselSkew): the same base-split plan
 /// run with one work unit per fragment (`morsel_size = |R|`, the legacy
 /// static schedule) versus the default morsel-driven schedule, sweeping
@@ -49,14 +50,14 @@ void BM_BaseSplitParallel(benchmark::State& state) {
   Table base = *GroupByBase(sales, {"cust"});
   ExprPtr theta = Eq(RCol("cust"), BCol("cust"));
   std::vector<AggSpec> aggs = {Count("n"), Sum(RCol("sale"), "total")};
-  ParallelMdJoinStats stats;
+  MdJoinStats stats;
   for (auto _ : state) {
     Table out = *ParallelMdJoin(base, sales, aggs, theta, /*num_partitions=*/threads,
                                 threads, {}, &stats);
     benchmark::DoNotOptimize(out.num_rows());
   }
   state.counters["scan_work_multiplier"] =
-      static_cast<double>(stats.total_detail_rows_scanned) / kRows;
+      static_cast<double>(stats.detail_rows_scanned) / kRows;
 }
 BENCHMARK(BM_BaseSplitParallel)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
@@ -66,15 +67,15 @@ void BM_DetailSplitParallel(benchmark::State& state) {
   Table base = *GroupByBase(sales, {"cust"});
   ExprPtr theta = Eq(RCol("cust"), BCol("cust"));
   std::vector<AggSpec> aggs = {Count("n"), Sum(RCol("sale"), "total")};
-  ParallelMdJoinStats stats;
+  MdJoinOptions options;
+  options.num_threads = threads;
+  MdJoinStats stats;
   for (auto _ : state) {
-    Table out = *ParallelMdJoinDetailSplit(base, sales, aggs, theta,
-                                           /*num_partitions=*/threads, threads, {},
-                                           &stats);
+    Table out = *MdJoin(base, sales, aggs, theta, options, &stats);
     benchmark::DoNotOptimize(out.num_rows());
   }
   state.counters["scan_work_multiplier"] =
-      static_cast<double>(stats.total_detail_rows_scanned) / kRows;
+      static_cast<double>(stats.detail_rows_scanned) / kRows;
 }
 BENCHMARK(BM_DetailSplitParallel)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
@@ -95,7 +96,7 @@ void BM_StaticVsMorselSkew(benchmark::State& state) {
                                Avg(RCol("sale"), "a")};
   MdJoinOptions options;
   options.morsel_size = morsel_driven ? 0 : sales.num_rows();
-  ParallelMdJoinStats stats;
+  MdJoinStats stats;
   for (auto _ : state) {
     Table out = *ParallelMdJoin(base, sales, aggs, theta, /*num_partitions=*/kThreads,
                                 kThreads, options, &stats);
@@ -103,7 +104,7 @@ void BM_StaticVsMorselSkew(benchmark::State& state) {
   }
   state.counters["zipf_theta"] = zipf;
   state.counters["base_rows"] = static_cast<double>(base.num_rows());
-  state.counters["morsels"] = static_cast<double>(stats.morsels_executed);
+  state.counters["morsels"] = static_cast<double>(stats.morsels);
   state.counters["steal_waits"] = static_cast<double>(stats.steal_waits);
   // Worker balance: 1.0 = perfectly level; static scheduling under skew
   // drives this toward num_partitions / busiest-fragment share.
@@ -112,7 +113,7 @@ void BM_StaticVsMorselSkew(benchmark::State& state) {
   state.counters["worker_rows_max"] =
       static_cast<double>(stats.max_worker_detail_rows);
   state.counters["scan_work_multiplier"] =
-      static_cast<double>(stats.total_detail_rows_scanned) / kSkewRows;
+      static_cast<double>(stats.detail_rows_scanned) / kSkewRows;
   bench::TagConfig(state, options);
 }
 BENCHMARK(BM_StaticVsMorselSkew)

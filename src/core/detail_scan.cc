@@ -579,23 +579,34 @@ Status MergeWorkerPartials(DetailScanWorker* into, const DetailScanWorker& from,
 Result<Table> AssembleOutput(const Table& base,
                              const std::vector<ScanComponent>& components,
                              const DetailScanWorker& states, QueryGuard* guard) {
-  std::vector<Field> fields = base.schema().fields();
-  for (const ScanComponent& c : components) {
-    for (const BoundAgg& b : c.aggs) fields.push_back(b.output_field);
-  }
+  const int64_t rows = base.num_rows();
   ScopedReservation output_bytes;
   MDJ_RETURN_NOT_OK(output_bytes.Reserve(
       guard,
-      base.num_rows() * static_cast<int64_t>(fields.size()) * kGuardBytesPerOutputCell,
+      rows * static_cast<int64_t>(base.num_columns() + TotalAggs(components)) *
+          kGuardBytesPerOutputCell,
       "materialized output"));
-  Table out{Schema(std::move(fields))};
-  out.Reserve(base.num_rows());
-  for (int64_t r = 0; r < base.num_rows(); ++r) {
-    std::vector<Value> row = base.GetRow(r);
-    for (const AggStateColumn& col : states.cols) row.push_back(col.Finalize(r));
-    out.AppendRowUnchecked(std::move(row));
+  // Column-wise: base columns copied wholesale, then each aggregate column
+  // finalized in base order.
+  Table out;
+  for (int c = 0; c < base.num_columns(); ++c) {
+    MDJ_RETURN_NOT_OK(out.AddColumn(base.schema().field(c), base.column(c)));
+  }
+  size_t i = 0;
+  for (const ScanComponent& c : components) {
+    for (const BoundAgg& agg : c.aggs) {
+      const AggStateColumn& col = states.cols[i++];
+      std::vector<Value> values(static_cast<size_t>(rows));
+      for (int64_t r = 0; r < rows; ++r) values[static_cast<size_t>(r)] = col.Finalize(r);
+      MDJ_RETURN_NOT_OK(out.AddColumn(agg.output_field, std::move(values)));
+    }
   }
   return out;
+}
+
+int64_t DetailSource::unit_size(const MdJoinOptions& options) const {
+  if (options.morsel_size > 0) return options.morsel_size;
+  return options.block_size > 0 ? options.block_size : 1024;
 }
 
 }  // namespace mdjoin

@@ -76,9 +76,9 @@ int64_t PlanPassBudget(int64_t base_rows, const std::vector<ScanComponent>& comp
 /// and a GuardTicket that batches guard accounting so concurrent workers
 /// never contend on a shared hot atomic between stride checks.
 ///
-/// The sequential evaluator uses exactly one worker whose partials are the
-/// final states; the morsel-driven parallel engine gives each thread its own
-/// worker and merges them with MergeWorkerPartials when the cursor drains.
+/// The driver (RunMdJoin) gives each scan worker its own and merges them with
+/// MergeWorkerPartials once every pass is done; a single worker's partials
+/// are the final states.
 struct DetailScanWorker {
   DetailScanWorker(const Table& base, const std::vector<ScanComponent>& components,
                    QueryGuard* guard);
@@ -92,8 +92,8 @@ struct DetailScanWorker {
   void BeginJob();
 
   /// Flushes the ticket's pending row/pair counts into the guard and performs
-  /// a final check, keeping budgets exact. Call once per pass (sequential) or
-  /// once per worker when the morsel cursor drains (parallel).
+  /// a final check, keeping budgets exact. Call once per pass, when the
+  /// worker finds the pass's cursor drained.
   Status FinishScan();
 
   // Partial accumulators of every component's aggregates, in output order,
@@ -113,7 +113,7 @@ struct DetailScanWorker {
   std::vector<int64_t> matched_buf;
 
   GuardTicket ticket;
-  MdJoinStats stats;  // local work counters; fold with AccumulateScanStats
+  MdJoinStats stats;  // local work counters; the driver folds them with Add
 };
 
 /// One prepared scan job: the read-only machinery for aggregating a set of
@@ -145,8 +145,8 @@ class DetailScan {
   }
 
   /// The out-of-core seam: scans rows [lo, hi) of `chunk`, a table with the
-  /// detail schema that need not be the table given to Prepare — the paged
-  /// driver passes each decoded block here, so zone-map pruning, faulting,
+  /// detail schema that need not be the table given to Prepare — a paged
+  /// source passes each decoded block here, so zone-map pruning, faulting,
   /// and eviction stay outside while every scan optimization (kernels, fused
   /// blocks, index probes) runs unchanged. Row-position machinery bound to
   /// the *prepared* table (its typed accel mirror, hoisted argument columns,
@@ -218,22 +218,64 @@ Result<Table> AssembleOutput(const Table& base,
                              const std::vector<ScanComponent>& components,
                              const DetailScanWorker& states, QueryGuard* guard);
 
-/// Adds `from`'s scan-loop counters (rows, pairs, blocks, kernels) into `to`,
-/// leaving the pass/index/degradation fields — which belong to the driver —
-/// untouched.
-inline void AccumulateScanStats(const MdJoinStats& from, MdJoinStats* to) {
-  to->detail_rows_scanned += from.detail_rows_scanned;
-  to->detail_rows_qualified += from.detail_rows_qualified;
-  to->candidate_pairs += from.candidate_pairs;
-  to->matched_pairs += from.matched_pairs;
-  to->blocks += from.blocks;
-  to->kernel_invocations += from.kernel_invocations;
-  to->kernel_fallback_rows += from.kernel_fallback_rows;
-  to->dense_blocks += from.dense_blocks;
-  to->fused_blocks += from.fused_blocks;
-  to->index_probe_lookups += from.index_probe_lookups;
-  to->index_probe_memo_hits += from.index_probe_memo_hits;
-}
+/// The detail relation as the MD-join driver schedules it. One scan of R is
+/// the positions [0, extent()), cut into units of unit_size() positions;
+/// workers claim (job, unit) ranges from one cursor and run Scan over them.
+/// This base class is the in-memory source: positions are rows of table(),
+/// units are options.morsel_size-row ranges run with ScanRange, and the
+/// typed mirror is allowed. storage/out_of_core.h's PagedSource overrides it
+/// with the blocks of a paged file that survive zone-map pruning.
+class DetailSource {
+ public:
+  explicit DetailSource(const Table& table) : table_(&table) {}
+  virtual ~DetailSource() = default;
+  DetailSource(const DetailSource&) = delete;  // a subclass may point table_ at itself
+  DetailSource& operator=(const DetailSource&) = delete;
+
+  /// The table θ binds and every scan job prepares against.
+  const Table& table() const { return *table_; }
+
+  virtual int64_t extent() const { return table_->num_rows(); }
+  virtual int64_t unit_size(const MdJoinOptions& options) const;
+
+  /// False when the scanned chunks are foreign to table(), so Prepare must
+  /// not hoist pointers into its typed mirror.
+  virtual bool typed_mirror() const { return true; }
+
+  /// Scans positions [lo, hi) of one job into `worker`'s partials.
+  virtual Status Scan(const DetailScan& scan, int64_t lo, int64_t hi,
+                      DetailScanWorker* worker) const {
+    return scan.ScanRange(lo, hi, worker);
+  }
+
+  /// Source-specific accounting, once per run (failed runs included) after
+  /// the workers' counters are folded into `stats`.
+  virtual void Finish(MdJoinStats* /*stats*/) const {}
+
+ protected:
+  DetailSource() = default;  // a subclass binds its table with set_table
+  void set_table(const Table& table) { table_ = &table; }
+
+ private:
+  const Table* table_ = nullptr;
+};
+
+/// The one MD-join driver: MdJoin, GeneralizedMdJoin, ParallelMdJoin and
+/// PagedMdJoin are configurations of it. It binds and compiles the k
+/// components once, reserves their aggregate states, stages Theorem 4.1
+/// passes (PlanPassBudget: base_rows_per_pass and soft-budget degradation),
+/// and short-circuits when no (b, t) pair can match. Each pass splits its
+/// base rows into up to `base_fragments` scan jobs (the Theorem 4.1 base
+/// split; 1 otherwise), and min(options.num_threads, units) workers claim
+/// (job, unit) ranges from one MorselScheduler cursor. One worker runs inline
+/// on the calling thread and claims each job whole; more run on a pool and
+/// share the guard, so the first failure stops the rest. Partials merge once
+/// at the end, pairwise, and one output assembly follows. `op` prefixes
+/// error messages.
+Result<Table> RunMdJoin(const char* op, const Table& base, const DetailSource& detail,
+                        const std::vector<MdJoinComponent>& components,
+                        const MdJoinOptions& options, MdJoinStats* stats,
+                        int base_fragments = 1);
 
 }  // namespace mdjoin
 

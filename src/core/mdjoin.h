@@ -39,19 +39,19 @@ struct MdJoinOptions {
   /// the conventional 1K-row vector size. Values < 1 fall back to 1024.
   int block_size = 1024;
 
-  /// Detail rows per morsel in the morsel-driven parallel engine
-  /// (parallel/parallel_mdjoin.cc): the unit of work a thread claims from the
-  /// shared cursor. 0 (default) aligns morsels to `block_size` so every
-  /// morsel runs whole vectorized blocks. Setting it to detail.num_rows()
-  /// degenerates to the legacy static fragment split (one unit per job) —
-  /// the ablation baseline in bench E10.
+  /// Detail rows per morsel of an in-memory scan: the unit of work a worker
+  /// claims from the driver's shared cursor. 0 (default) aligns morsels to
+  /// `block_size` so every morsel runs whole vectorized blocks. Setting it to
+  /// detail.num_rows() degenerates to the static fragment split (one unit
+  /// per job) — the ablation baseline in bench E10. Paged scans claim one
+  /// block per unit and ignore it.
   int64_t morsel_size = 0;
 
-  /// Worker threads for plan execution (optimizer/executor.cc): 1 (default)
-  /// evaluates MD-join nodes sequentially; > 1 routes them through the
-  /// morsel-driven parallel engine with this many threads. The low-level
-  /// MdJoin() entry point ignores this knob — callers pick parallelism
-  /// explicitly via ParallelMdJoin*.
+  /// Scan workers for every MD-join entry point (MdJoin, GeneralizedMdJoin,
+  /// ParallelMdJoin's fragments, PagedMdJoin, spill partitions, and plan
+  /// nodes): the driver runs min(num_threads, schedulable units) workers,
+  /// each folding matches into thread-local partials merged once at the end.
+  /// 1 (default) or a single unit runs inline on the calling thread.
   int num_threads = 1;
 
   /// Optional per-query resource governor (cancellation, deadline, memory
@@ -125,7 +125,7 @@ struct MdJoinStats {
   int64_t detail_rows_qualified = 0; // tuples surviving pushed-down selection
   int64_t candidate_pairs = 0;       // (b, t) pairs tested after index pruning
   int64_t matched_pairs = 0;         // pairs satisfying θ
-  int64_t passes_over_detail = 0;    // 1 unless base_rows_per_pass forces more
+  int64_t passes_over_detail = 0;    // scans of R: Theorem 4.1 passes × base fragments
   int64_t index_masks = 0;           // ALL-mask buckets in the base index
   int64_t base_rows_per_pass_effective = 0;  // after guard memory degradation
   bool memory_degraded = false;      // guard budget forced extra passes
@@ -155,13 +155,33 @@ struct MdJoinStats {
   int64_t spill_partitions = 0; // partition pairs spilled and joined
   int64_t spill_bytes_written = 0;
 
+  // Scheduling counters. `morsels` counts the work units dispatched (== the
+  // schedulable total unless a trip drained the cursor early); `steal_waits`
+  // counts cursor polls that found no work — each worker's final drain probe
+  // plus any idle polls. The per-worker scan extremes show balance: the
+  // shared cursor keeps the spread narrow under skew, so a wide one means
+  // early guard short-circuiting or a static schedule (morsel = |R|).
+  int num_threads = 0;          // workers that ran the scan
+  int64_t morsels = 0;
+  int64_t steal_waits = 0;
+  int64_t min_worker_detail_rows = 0;
+  int64_t max_worker_detail_rows = 0;
+
+  /// Adds `other`'s additive counters into this one (rows, pairs, passes,
+  /// blocks, storage, spill, scheduling), ORs memory_degraded and keeps the
+  /// larger num_threads. base_rows, the effective rows-per-pass and the
+  /// per-worker extremes describe one driver run and stay untouched.
+  void Add(const MdJoinStats& other);
+
   std::string ToString() const;
 };
 
 /// The MD-join MD(B, R, l, θ) of Definition 3.1, evaluated with
 /// Algorithm 3.1: the k = 1 case of GeneralizedMdJoin (core/generalized.h),
-/// run by the same sequential driver over the one detail-scan kernel
-/// (core/detail_scan.h).
+/// run by the one MD-join driver (RunMdJoin, core/detail_scan.h) over the
+/// one detail-scan kernel. options.num_threads > 1 splits the scan of R into
+/// morsels across workers (the detail split: one logical scan of R, partial
+/// states merged through the aggregates' Merge callbacks).
 ///
 /// Output: every row of `base` (in order) extended with one column per
 /// AggSpec in `aggs`, aggregating the multiset RNG(b, R, θ) = {t ∈ R :

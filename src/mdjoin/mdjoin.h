@@ -32,6 +32,7 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/access_path.h"
 #include "core/generalized.h"
@@ -55,7 +56,6 @@
 #include "optimizer/plan.h"
 #include "optimizer/rules.h"
 #include "parallel/parallel_mdjoin.h"
-#include "parallel/thread_pool.h"
 #include "ra/filter.h"
 #include "ra/group_by.h"
 #include "ra/join.h"

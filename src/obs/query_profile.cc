@@ -51,6 +51,7 @@ void NodeToText(const OperatorProfile& node, int depth, std::string* out) {
     AppendCount("agg_updates", node.agg_updates, out);
     if (node.passes > 1) AppendCount("passes", node.passes, out);
     if (node.blocks > 0) AppendCount("blocks", node.blocks, out);
+    if (node.fused_blocks > 0) AppendCount("fused", node.fused_blocks, out);
     if (node.index_probe_lookups > 0) {
       std::snprintf(buf, sizeof(buf), " probe_hit=%.1f%%",
                     node.probe_hit_rate() * 100.0);
@@ -144,6 +145,8 @@ void NodeToJson(const OperatorProfile& node, std::string* out) {
     AppendKv("passes", node.passes, &first, out);
     AppendKv("blocks", node.blocks, &first, out);
     AppendKv("kernel_invocations", node.kernel_invocations, &first, out);
+    AppendKv("index_masks", node.index_masks, &first, out);
+    AppendKv("fused_blocks", node.fused_blocks, &first, out);
     AppendKv("index_probe_lookups", node.index_probe_lookups, &first, out);
     AppendKv("index_probe_memo_hits", node.index_probe_memo_hits, &first, out);
     AppendKv("morsels", node.morsels, &first, out);

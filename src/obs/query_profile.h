@@ -32,10 +32,12 @@ struct OperatorProfile {
   int64_t passes = 0;                 // Theorem 4.1 passes over R
   int64_t blocks = 0;                 // vectorized blocks
   int64_t kernel_invocations = 0;     // columnar predicate kernel runs
+  int64_t index_masks = 0;            // ALL-mask buckets in the base indexes
+  int64_t fused_blocks = 0;           // blocks aggregated without per-row probes
   int64_t index_probe_lookups = 0;    // probe-memo lookups (cube indexes)
   int64_t index_probe_memo_hits = 0;  // memo hits among those lookups
-  int64_t morsels = 0;                // parallel engine: morsels executed
-  int64_t steal_waits = 0;            // parallel engine: drained cursor polls
+  int64_t morsels = 0;                // scan units dispatched by the driver
+  int64_t steal_waits = 0;            // drained cursor polls (idle workers)
   int num_threads = 1;                // workers that executed this node
 
   // Out-of-core counters (storage/out_of_core); zero for in-memory nodes.

@@ -17,7 +17,6 @@
 #include "expr/conjuncts.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/parallel_mdjoin.h"
 #include "storage/block_format.h"
 
 namespace mdjoin {
@@ -216,43 +215,15 @@ Result<Table> ReadSpillFile(const std::string& path, const Schema& schema,
 
 namespace {
 
-/// Fold a sequential partition join's counters into the spill driver's.
-void FoldStats(const MdJoinStats& from, MdJoinStats* to) {
-  AccumulateScanStats(from, to);
-  to->passes_over_detail += from.passes_over_detail;
-  to->index_masks += from.index_masks;
-  if (from.memory_degraded) to->memory_degraded = true;
-}
-
-void FoldParallelStats(const ParallelMdJoinStats& from, MdJoinStats* to) {
-  to->detail_rows_scanned += from.total_detail_rows_scanned;
-  to->detail_rows_qualified += from.detail_rows_qualified;
-  to->candidate_pairs += from.candidate_pairs;
-  to->matched_pairs += from.matched_pairs;
-  to->blocks += from.blocks;
-  to->kernel_invocations += from.kernel_invocations;
-  to->index_probe_lookups += from.index_probe_lookups;
-  to->index_probe_memo_hits += from.index_probe_memo_hits;
-  ++to->passes_over_detail;
-}
-
+/// One partition (or the broadcast group) joined in memory; options carry
+/// num_threads, so the driver parallelizes it.
 Result<Table> JoinPartition(const Table& b, const Table& r,
                             const std::vector<AggSpec>& aggs,
                             const ExprPtr& theta, const MdJoinOptions& options,
                             MdJoinStats* stats) {
-  if (options.num_threads > 1) {
-    ParallelMdJoinStats pstats;
-    MDJ_ASSIGN_OR_RETURN(
-        Table res, ParallelMdJoinDetailSplit(b, r, aggs, theta,
-                                             options.num_threads,
-                                             options.num_threads, options,
-                                             &pstats));
-    FoldParallelStats(pstats, stats);
-    return res;
-  }
   MdJoinStats jstats;
-  MDJ_ASSIGN_OR_RETURN(Table res, MdJoin(b, r, aggs, theta, options, &jstats));
-  FoldStats(jstats, stats);
+  Result<Table> res = MdJoin(b, r, aggs, theta, options, &jstats);
+  stats->Add(jstats);
   return res;
 }
 

@@ -78,8 +78,8 @@ Result<Table> ReadSpillFile(const std::string& path, const Schema& schema,
 /// The partitioned-spill MD-join driver. Bit-identical to MdJoin(). Requires
 /// θ to carry at least one equi conjunct to partition on; without one it
 /// falls back to MdJoin (whose guard degradation multi-passes instead).
-/// Partition joins run through the morsel-parallel engine when
-/// options.num_threads > 1. Spill files land in options.spill_dir (or the
+/// Partition joins run through the MD-join driver with options.num_threads
+/// workers. Spill files land in options.spill_dir (or the
 /// system temp directory) and are removed before returning, success or not.
 Result<Table> SpillMdJoin(const Table& base, const Table& detail,
                           const std::vector<AggSpec>& aggs, const ExprPtr& theta,

@@ -14,6 +14,7 @@
 
 #include "common/failpoint.h"
 #include "common/query_guard.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
@@ -24,7 +25,6 @@
 #include "optimizer/executor.h"
 #include "optimizer/plan.h"
 #include "parallel/parallel_mdjoin.h"
-#include "parallel/thread_pool.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
 
@@ -62,8 +62,9 @@ TEST_F(GuardrailTest, CancelBeforeScanAllPaths) {
   ASSERT_FALSE(parallel.ok());
   EXPECT_EQ(parallel.status().code(), StatusCode::kCancelled);
 
-  Result<Table> split =
-      ParallelMdJoinDetailSplit(base, sales, aggs, CustTheta(), 4, 2, options);
+  MdJoinOptions threaded = options;
+  threaded.num_threads = 2;
+  Result<Table> split = MdJoin(base, sales, aggs, CustTheta(), threaded);
   ASSERT_FALSE(split.ok());
   EXPECT_EQ(split.status().code(), StatusCode::kCancelled);
 
@@ -115,10 +116,10 @@ TEST_F(GuardrailTest, CancelMidScanParallelPaths) {
     QueryGuard guard(guard_options);
     MdJoinOptions options;
     options.guard = &guard;
+    options.num_threads = 2;
     Result<Table> result =
-        variant == 0
-            ? ParallelMdJoin(base, sales, aggs, CustTheta(), 4, 2, options)
-            : ParallelMdJoinDetailSplit(base, sales, aggs, CustTheta(), 4, 2, options);
+        variant == 0 ? ParallelMdJoin(base, sales, aggs, CustTheta(), 4, 2, options)
+                     : MdJoin(base, sales, aggs, CustTheta(), options);
     ASSERT_FALSE(result.ok()) << "variant=" << variant;
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << "variant=" << variant;
   }
@@ -325,7 +326,9 @@ TEST_F(GuardrailTest, ParallelFragmentErrorFirstErrorWins) {
 
   FailpointRegistry::Global()->Reset();
   FailpointRegistry::Global()->Enable("parallel:fragment_error", /*count=*/1);
-  result = ParallelMdJoinDetailSplit(base, sales, aggs, CustTheta(), 4, 2);
+  MdJoinOptions threaded;
+  threaded.num_threads = 2;
+  result = MdJoin(base, sales, aggs, CustTheta(), threaded);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_NE(result.status().message().find("parallel:fragment_error"),
@@ -339,7 +342,9 @@ TEST_F(GuardrailTest, ParallelNullThetaSymmetry) {
   Result<Table> a = ParallelMdJoin(base, sales, {Count("n")}, nullptr, 2, 2);
   ASSERT_FALSE(a.ok());
   EXPECT_TRUE(a.status().IsInvalidArgument());
-  Result<Table> b = ParallelMdJoinDetailSplit(base, sales, {Count("n")}, nullptr, 2, 2);
+  MdJoinOptions threaded;
+  threaded.num_threads = 2;
+  Result<Table> b = MdJoin(base, sales, {Count("n")}, nullptr, threaded);
   ASSERT_FALSE(b.ok());
   EXPECT_TRUE(b.status().IsInvalidArgument());
 }
@@ -353,13 +358,13 @@ TEST_F(GuardrailTest, ParallelStatsAggregateAcrossFragments) {
   ASSERT_TRUE(MdJoin(base, sales, aggs, CustTheta(), {}, &seq).ok());
 
   const int partitions = 4;
-  ParallelMdJoinStats base_split;
+  MdJoinStats base_split;
   ASSERT_TRUE(ParallelMdJoin(base, sales, aggs, CustTheta(), partitions, 2, {},
                              &base_split)
                   .ok());
   // Theorem 4.1 split: every fragment scans all of R; base rows (and thus
   // candidate/matched pairs) partition across fragments.
-  EXPECT_EQ(base_split.total_detail_rows_scanned, partitions * sales.num_rows());
+  EXPECT_EQ(base_split.detail_rows_scanned, partitions * sales.num_rows());
   EXPECT_EQ(base_split.detail_rows_qualified, partitions * seq.detail_rows_qualified);
   EXPECT_EQ(base_split.candidate_pairs, seq.candidate_pairs);
   EXPECT_EQ(base_split.matched_pairs, seq.matched_pairs);
@@ -367,26 +372,26 @@ TEST_F(GuardrailTest, ParallelStatsAggregateAcrossFragments) {
   // fragment is one morsel, all four dispatched. How the two workers split
   // them is a race, so the per-worker extremes only admit loose bounds —
   // pigeonhole guarantees the busiest worker at least half the total.
-  EXPECT_EQ(base_split.morsels_executed, partitions);
+  EXPECT_EQ(base_split.morsels, partitions);
   EXPECT_GE(base_split.steal_waits, 2);  // each worker's drain probe
   EXPECT_LE(base_split.min_worker_detail_rows, base_split.max_worker_detail_rows);
   EXPECT_GE(base_split.max_worker_detail_rows,
-            (base_split.total_detail_rows_scanned + 1) / 2);
-  EXPECT_LE(base_split.max_worker_detail_rows, base_split.total_detail_rows_scanned);
+            (base_split.detail_rows_scanned + 1) / 2);
+  EXPECT_LE(base_split.max_worker_detail_rows, base_split.detail_rows_scanned);
 
-  ParallelMdJoinStats detail_split;
-  ASSERT_TRUE(ParallelMdJoinDetailSplit(base, sales, aggs, CustTheta(), partitions, 2,
-                                        {}, &detail_split)
-                  .ok());
+  MdJoinOptions threaded;
+  threaded.num_threads = 2;
+  MdJoinStats detail_split;
+  ASSERT_TRUE(MdJoin(base, sales, aggs, CustTheta(), threaded, &detail_split).ok());
   // Detail split: R is scanned exactly once in total; every pair is tested
   // exactly once across workers.
-  EXPECT_EQ(detail_split.total_detail_rows_scanned, sales.num_rows());
+  EXPECT_EQ(detail_split.detail_rows_scanned, sales.num_rows());
   EXPECT_EQ(detail_split.detail_rows_qualified, seq.detail_rows_qualified);
   EXPECT_EQ(detail_split.candidate_pairs, seq.candidate_pairs);
   EXPECT_EQ(detail_split.matched_pairs, seq.matched_pairs);
   // 400 detail rows fit in one default-size morsel, so exactly one worker
   // runs and scans everything.
-  EXPECT_EQ(detail_split.morsels_executed, 1);
+  EXPECT_EQ(detail_split.morsels, 1);
   EXPECT_EQ(detail_split.min_worker_detail_rows, sales.num_rows());
   EXPECT_EQ(detail_split.max_worker_detail_rows, sales.num_rows());
 }

@@ -1,10 +1,11 @@
 /// Morsel-driven parallel MD-join coverage: scheduler unit behavior
 /// (complete, disjoint coverage of the unit space under concurrent pulls),
 /// results bit-identical to the Definition-3.1 reference across thread
-/// counts, morsel sizes, and θ shapes for both public entry points, executor
-/// routing via
-/// MdJoinOptions::num_threads, failpoint-driven cancellation landing
-/// mid-morsel, and the guard short-circuit inside the partial-state merge.
+/// counts, morsel sizes, and θ shapes for the base split (ParallelMdJoin),
+/// the detail split (MdJoin and GeneralizedMdJoin with num_threads), executor
+/// routing via MdJoinOptions::num_threads, failpoint-driven cancellation
+/// landing mid-morsel, and the guard short-circuit inside the partial-state
+/// merge.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +18,13 @@
 #include "common/failpoint.h"
 #include "common/query_guard.h"
 #include "core/detail_scan.h"
+#include "core/generalized.h"
 #include "core/mdjoin.h"
+#include "core/morsel_scheduler.h"
 #include "core/reference.h"
 #include "cube/base_tables.h"
 #include "optimizer/executor.h"
 #include "optimizer/plan.h"
-#include "parallel/morsel_scheduler.h"
 #include "parallel/parallel_mdjoin.h"
 #include "ra/group_by.h"
 #include "table/table_ops.h"
@@ -117,12 +119,13 @@ TEST_F(MorselTest, SchedulerConcurrentPullsAreDisjointAndComplete) {
 
 /// The determinism matrix of the acceptance criteria: for every θ shape,
 /// thread count, and morsel size — including morsel 1 (maximum interleaving)
-/// and morsel |R| (the legacy static split) — both entry points and the
-/// sequential evaluator must produce exactly the reference's table, bit for
-/// bit; the sales amounts are integer-valued so float sums are exact under
-/// any merge order. count_distinct keeps a heap-fallback column in the
-/// partials, so the per-cell virtual Merge inside MergeWorkerPartials runs
-/// too.
+/// and morsel |R| (the legacy static split) — the base split, the detail
+/// split and the sequential evaluator must produce exactly the reference's
+/// table, bit for bit; the sales amounts are integer-valued so float sums
+/// are exact under any merge order. count_distinct keeps a heap-fallback
+/// column in the partials, so the per-cell virtual Merge inside
+/// MergeWorkerPartials runs too. A k = 3 generalized shape (Example 2.2's
+/// tri-state pivot) runs the same thread × morsel matrix.
 TEST_F(MorselTest, BitIdenticalAcrossThreadsMorselsAndThetaShapes) {
   Table sales = testutil::RandomSales(71, 400);
   Table flat_base = *GroupByBase(sales, {"cust", "month"});
@@ -158,7 +161,7 @@ TEST_F(MorselTest, BitIdenticalAcrossThreadsMorselsAndThetaShapes) {
       for (int64_t morsel : {int64_t{1}, int64_t{37}, int64_t{1024}, sales.num_rows()}) {
         MdJoinOptions options;
         options.morsel_size = morsel;
-        ParallelMdJoinStats stats;
+        MdJoinStats stats;
         Result<Table> split = ParallelMdJoin(*shape.base, sales, aggs, shape.theta,
                                              /*num_partitions=*/4, threads, options,
                                              &stats);
@@ -168,19 +171,36 @@ TEST_F(MorselTest, BitIdenticalAcrossThreadsMorselsAndThetaShapes) {
         EXPECT_TRUE(testutil::TablesBitIdentical(*reference, *split))
             << "base split: " << shape.name << " threads=" << threads
             << " morsel=" << morsel;
-        EXPECT_EQ(stats.total_detail_rows_scanned, 4 * sales.num_rows());
+        EXPECT_EQ(stats.detail_rows_scanned, 4 * sales.num_rows());
 
-        Result<Table> detail = ParallelMdJoinDetailSplit(
-            *shape.base, sales, aggs, shape.theta, /*num_partitions=*/threads, threads,
-            options, &stats);
+        options.num_threads = threads;
+        Result<Table> detail =
+            MdJoin(*shape.base, sales, aggs, shape.theta, options, &stats);
         ASSERT_TRUE(detail.ok()) << shape.name << " threads=" << threads
                                  << " morsel=" << morsel << ": "
                                  << detail.status().ToString();
         EXPECT_TRUE(testutil::TablesBitIdentical(*reference, *detail))
             << "detail split: " << shape.name << " threads=" << threads
             << " morsel=" << morsel;
-        EXPECT_EQ(stats.total_detail_rows_scanned, sales.num_rows());
+        EXPECT_EQ(stats.detail_rows_scanned, sales.num_rows());
       }
+    }
+  }
+
+  const std::vector<MdJoinComponent> tri_state = testutil::TriStateComponents();
+  const Table tri_reference =
+      testutil::GeneralizedReference(cust_base, sales, tri_state);
+  for (int threads : {1, 2, 8}) {
+    for (int64_t morsel : {int64_t{1}, int64_t{37}, int64_t{1024}, sales.num_rows()}) {
+      MdJoinOptions options;
+      options.num_threads = threads;
+      options.morsel_size = morsel;
+      MdJoinStats stats;
+      Result<Table> got = GeneralizedMdJoin(cust_base, sales, tri_state, options, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(testutil::TablesBitIdentical(tri_reference, *got))
+          << "tri-state: threads=" << threads << " morsel=" << morsel;
+      EXPECT_EQ(stats.detail_rows_scanned, sales.num_rows());
     }
   }
 }
@@ -227,16 +247,15 @@ TEST_F(MorselTest, CancelLandsMidMorselWithinStride) {
     MdJoinOptions options;
     options.guard = &guard;
     options.morsel_size = 64;  // many small morsels in flight
-    ParallelMdJoinStats stats;
+    options.num_threads = 4;
+    MdJoinStats stats;
     Result<Table> result =
-        variant == 0
-            ? ParallelMdJoin(base, sales, aggs, theta, 4, 4, options, &stats)
-            : ParallelMdJoinDetailSplit(base, sales, aggs, theta, 4, 4, options,
-                                        &stats);
+        variant == 0 ? ParallelMdJoin(base, sales, aggs, theta, 4, 4, options, &stats)
+                     : MdJoin(base, sales, aggs, theta, options, &stats);
     ASSERT_FALSE(result.ok()) << "variant=" << variant;
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << "variant=" << variant;
     // The cursor stopped being drained once the trip propagated.
-    EXPECT_LT(stats.total_detail_rows_scanned,
+    EXPECT_LT(stats.detail_rows_scanned,
               (variant == 0 ? 4 : 1) * sales.num_rows())
         << "variant=" << variant;
   }

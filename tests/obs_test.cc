@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/generalized.h"
+#include "cube/base_tables.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
@@ -357,6 +359,45 @@ TEST_F(ObsTest, ExplainAnalyzeEmitsWorkerTracks) {
   EXPECT_TRUE(saw_morsel);
   EXPECT_TRUE(saw_steal);
   EXPECT_GE(morsel_tids.size(), 1u);
+}
+
+TEST_F(ObsTest, ExplainAnalyzeScanShapeIndependentOfThreads) {
+  // Threads change who scans a block, never which blocks are scanned (the
+  // default morsel is one block): a generalized node over a cube base
+  // (several index masks) with a fused component reports the same blocks,
+  // index_masks and fused_blocks at 1 and 2 threads.
+  Table sales = testutil::RandomSales(13, 4000);
+  Table cube = *CubeByBase(sales, {"cust", "month"});
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
+  ASSERT_TRUE(catalog.Register("Cube", &cube).ok());
+  std::vector<MdJoinComponent> components = {
+      {{Count("n"), Sum(RCol("sale"), "total")},
+       And(Eq(RCol("cust"), BCol("cust")), Eq(RCol("month"), BCol("month")))},
+      {{Count("n_big")}, Gt(RCol("sale"), Lit(100.0))}};
+  PlanPtr plan = GeneralizedMdJoinPlan(TableRef("Cube"), TableRef("Sales"), components);
+
+  struct ScanShape {
+    int64_t blocks, index_masks, fused_blocks, matched_pairs;
+  };
+  std::vector<ScanShape> roots;
+  for (int threads : {1, 2}) {
+    MdJoinOptions options;
+    options.num_threads = threads;
+    QueryProfile profile;
+    Result<Table> result = ExplainAnalyze(plan, catalog, options, &profile);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_NE(profile.root, nullptr);
+    EXPECT_EQ(profile.root->num_threads, threads);
+    const OperatorProfile& md = *profile.root;
+    roots.push_back({md.blocks, md.index_masks, md.fused_blocks, md.matched_pairs});
+  }
+  EXPECT_GT(roots[0].index_masks, 1);
+  EXPECT_GT(roots[0].fused_blocks, 0);
+  EXPECT_EQ(roots[1].blocks, roots[0].blocks);
+  EXPECT_EQ(roots[1].index_masks, roots[0].index_masks);
+  EXPECT_EQ(roots[1].fused_blocks, roots[0].fused_blocks);
+  EXPECT_EQ(roots[1].matched_pairs, roots[0].matched_pairs);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// Tests for the out-of-core MD-join (storage/out_of_core): PagedMdJoin must
-// be bit-identical to the Definition-3.1 reference across the full matrix
-// — {1, 2, 8} threads × {spill on, spill off} — plus
-// zone-map pruning effectiveness, ALL/NULL equi-key spill routing, the
-// catalog/executor paged path, and block-cache accounting under a query
+// Tests for the out-of-core MD-join (storage/out_of_core): PagedMdJoin and
+// the generalized paged scan must be bit-identical to the Definition-3.1
+// reference across the full matrix — {1, 2, 8} threads × {spill on, spill
+// off} — plus zone-map pruning effectiveness (for k components too),
+// ALL/NULL equi-key spill routing, the catalog/executor paged path (Filters
+// over paged detail included), and block-cache accounting under a query
 // guard.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -113,6 +116,33 @@ TEST(OutOfCoreTest, BitIdenticalAcrossModeMatrix) {
       if (spill) {
         EXPECT_EQ(stats.spill_partitions, 3);
       }
+    }
+  }
+
+  // k = 3 (Example 2.2's tri-state pivot) over the same file, through the
+  // executor's generalized arm: the paged source under every thread count.
+  // Spill serves single MD-joins only, so with it on the generalized node
+  // still streams (memory pressure would degrade it to more passes).
+  const std::vector<MdJoinComponent> tri_state = testutil::TriStateComponents();
+  const Table tri_expect = testutil::GeneralizedReference(*base, sales, tri_state);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Custs", &*base).ok());
+  ASSERT_TRUE(RegisterPagedTable(&catalog, "Sales", paged.table()).ok());
+  const PlanPtr plan =
+      GeneralizedMdJoinPlan(TableRef("Custs"), TableRef("Sales"), tri_state);
+  for (int threads : {1, 2, 8}) {
+    for (bool spill : {false, true}) {
+      MdJoinOptions md;
+      md.num_threads = threads;
+      md.block_cache = &cache;
+      md.enable_spill = spill;
+      md.spill_partitions = spill ? 3 : 0;
+      ExecStats exec;
+      Result<Table> got = ExecutePlan(plan, catalog, md, &exec);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(TablesBitIdentical(tri_expect, *got))
+          << "tri-state threads=" << threads << " spill=" << spill;
+      EXPECT_GT(exec.blocks_read, 0) << "generalized paged run decoded no blocks";
     }
   }
 }
@@ -243,6 +273,43 @@ TEST(OutOfCoreTest, PruningRespectsMultiPassBudgetDegradation) {
   EXPECT_GT(stats.passes_over_detail, 1);
   EXPECT_TRUE(TablesBitIdentical(*expect, *got));
   EXPECT_EQ(guard.bytes_reserved(), 0);
+}
+
+TEST(OutOfCoreTest, GeneralizedKeepsBlocksAnyComponentMayMatch) {
+  // One component's θ is refuted by every zone map (no sale that large);
+  // the other's keeps only the blocks holding month 2. The generalized
+  // paged scan reads the union of the two plans — exactly the second's.
+  Table sales = testutil::RandomSales(9, 512);
+  Result<Table> sorted = SortTableBy(sales, {"month"});
+  ASSERT_TRUE(sorted.ok());
+  Result<Table> base = GroupByBase(*sorted, {"cust"});
+  ASSERT_TRUE(base.ok());
+  PagedFixture paged(*sorted, 32, "kprune");
+  const int num_blocks = paged.table().num_blocks();
+  const ExprPtr refuted = And(Eq(RCol("cust"), BCol("cust")), Gt(RCol("sale"), Lit(1e9)));
+  const ExprPtr month2 = And(Eq(RCol("cust"), BCol("cust")), Eq(RCol("month"), Lit(2)));
+  const std::vector<bool> keep_refuted = PlanBlockPruning(paged.table(), refuted);
+  const std::vector<bool> keep_month2 = PlanBlockPruning(paged.table(), month2);
+  ASSERT_EQ(std::count(keep_refuted.begin(), keep_refuted.end(), true), 0);
+  const int64_t month2_pruned = std::count(keep_month2.begin(), keep_month2.end(), false);
+  ASSERT_GE(month2_pruned, num_blocks / 2);
+
+  const std::vector<MdJoinComponent> components = {
+      {{Count("n_big"), Sum(RCol("sale"), "big")}, refuted},
+      {{Count("n_feb"), Avg(RCol("sale"), "avg_feb")}, month2}};
+  const Table expect = testutil::GeneralizedReference(*base, *sorted, components);
+  for (int threads : {1, 2}) {
+    MdJoinOptions md;
+    md.num_threads = threads;
+    MdJoinStats stats;
+    Result<Table> got =
+        RunMdJoin("GeneralizedMdJoin", *base, PagedSource(paged.table(), components, md),
+                  components, md, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(TablesBitIdentical(expect, *got)) << "threads=" << threads;
+    EXPECT_EQ(stats.blocks_pruned, month2_pruned) << "threads=" << threads;
+    EXPECT_EQ(stats.blocks_read + stats.blocks_pruned, num_blocks);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -458,6 +525,46 @@ TEST(OutOfCoreTest, ExplainAnalyzeReportsBlockCounters) {
   EXPECT_GT(md->blocks_pruned, 0);
   const std::string text = profile.ToText();
   EXPECT_NE(text.find("blocks_read="), std::string::npos) << text;
+}
+
+TEST(OutOfCoreTest, FilterOverPagedDetailStreamsThroughZoneMaps) {
+  // Theorem 4.2's detail pushdown leaves a Filter between the MD-join and a
+  // paged TableRef. The executor folds it back into θ and streams the file,
+  // so the zone maps prune instead of the whole file being materialized.
+  Table sales = testutil::RandomSales(31, 512);
+  Result<Table> sorted = SortTableBy(sales, {"month"});
+  ASSERT_TRUE(sorted.ok());
+  Result<Table> base = GroupByBase(*sorted, {"cust"});
+  ASSERT_TRUE(base.ok());
+  PagedFixture paged(*sorted, 32, "filter");
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Custs", &*base).ok());
+  ASSERT_TRUE(catalog.Register("SalesMem", &*sorted).ok());
+  ASSERT_TRUE(RegisterPagedTable(&catalog, "Sales", paged.table()).ok());
+  auto make_plan = [](const char* detail) {
+    return MdJoinPlan(
+        TableRef("Custs"),
+        FilterPlan(TableRef(detail), And(Eq(Col("year"), Lit(1997)), Ge(Col("month"), Lit(3)))),
+        {Count("n"), Sum(RCol("sale"), "total")}, Eq(RCol("cust"), BCol("cust")));
+  };
+  Result<Table> expect = ExecutePlan(make_plan("SalesMem"), catalog);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+
+  QueryProfile profile;
+  Result<Table> got = ExplainAnalyze(make_plan("Sales"), catalog, {}, &profile);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(TablesBitIdentical(*expect, *got));
+  ASSERT_NE(profile.root, nullptr);
+  const OperatorProfile* md = nullptr;
+  std::function<void(const OperatorProfile&)> find = [&](const OperatorProfile& n) {
+    if (n.is_mdjoin) md = &n;
+    for (const auto& child : n.children) find(*child);
+  };
+  find(*profile.root);
+  ASSERT_NE(md, nullptr);
+  EXPECT_GT(md->blocks_pruned, 0);
+  EXPECT_GT(md->blocks_read, 0);
+  EXPECT_EQ(md->blocks_read + md->blocks_pruned, paged.table().num_blocks());
 }
 
 TEST(OutOfCoreTest, CatalogRejectsDuplicateNamesAcrossKinds) {

@@ -2,9 +2,9 @@
 
 #include <atomic>
 
+#include "common/thread_pool.h"
 #include "core/mdjoin.h"
 #include "parallel/parallel_mdjoin.h"
-#include "parallel/thread_pool.h"
 #include "ra/group_by.h"
 #include "cube/base_tables.h"
 #include "table/table_ops.h"
@@ -55,15 +55,16 @@ TEST(ParallelMdJoinTest, MatchesSequential) {
   ASSERT_TRUE(sequential.ok());
   for (int partitions : {1, 2, 3, 8}) {
     for (int threads : {1, 2, 4}) {
-      ParallelMdJoinStats stats;
+      MdJoinStats stats;
       Result<Table> parallel =
           ParallelMdJoin(*base, sales, aggs, theta, partitions, threads, {}, &stats);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       EXPECT_TRUE(TablesEqualOrdered(*sequential, *parallel))
           << "partitions=" << partitions << " threads=" << threads;
-      EXPECT_EQ(stats.num_partitions, partitions);
+      // One scan of R per fragment.
+      EXPECT_EQ(stats.passes_over_detail, partitions);
       // Theorem 4.1 price: every fragment scans all of R.
-      EXPECT_EQ(stats.total_detail_rows_scanned, partitions * sales.num_rows());
+      EXPECT_EQ(stats.detail_rows_scanned, partitions * sales.num_rows());
     }
   }
 }
@@ -77,14 +78,17 @@ TEST(ParallelMdJoinTest, DetailSplitMatchesSequential) {
                                CountDistinct(RCol("prod"), "dp")};
   Result<Table> sequential = MdJoin(*base, sales, aggs, CustTheta());
   ASSERT_TRUE(sequential.ok());
-  for (int partitions : {1, 2, 5}) {
-    ParallelMdJoinStats stats;
-    Result<Table> parallel = ParallelMdJoinDetailSplit(*base, sales, aggs, CustTheta(),
-                                                       partitions, 3, {}, &stats);
+  for (int threads : {1, 2, 5}) {
+    MdJoinOptions options;
+    options.num_threads = threads;
+    options.morsel_size = 64;
+    MdJoinStats stats;
+    Result<Table> parallel = MdJoin(*base, sales, aggs, CustTheta(), options, &stats);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_TRUE(TablesEqualOrdered(*sequential, *parallel)) << "p=" << partitions;
+    EXPECT_TRUE(TablesEqualOrdered(*sequential, *parallel)) << "threads=" << threads;
     // Detail split scans R exactly once in total.
-    EXPECT_EQ(stats.total_detail_rows_scanned, sales.num_rows());
+    EXPECT_EQ(stats.detail_rows_scanned, sales.num_rows());
+    EXPECT_EQ(stats.num_threads, threads);
   }
 }
 
@@ -98,8 +102,10 @@ TEST(ParallelMdJoinTest, DetailSplitHandlesResidualTheta) {
                       Eq(RCol("year"), Lit(1997)));
   std::vector<AggSpec> aggs = {Count("above")};
   Result<Table> sequential = MdJoin(*with_avg, sales, aggs, theta);
-  Result<Table> parallel =
-      ParallelMdJoinDetailSplit(*with_avg, sales, aggs, theta, 4, 2);
+  MdJoinOptions options;
+  options.num_threads = 2;
+  options.morsel_size = 64;
+  Result<Table> parallel = MdJoin(*with_avg, sales, aggs, theta, options);
   ASSERT_TRUE(sequential.ok() && parallel.ok());
   EXPECT_TRUE(TablesEqualOrdered(*sequential, *parallel));
 }
@@ -120,8 +126,9 @@ TEST(ParallelMdJoinTest, InvalidArguments) {
   Result<Table> base = GroupByBase(sales, {"cust"});
   EXPECT_FALSE(ParallelMdJoin(*base, sales, {Count("n")}, CustTheta(), 0, 1).ok());
   EXPECT_FALSE(ParallelMdJoin(*base, sales, {Count("n")}, CustTheta(), 1, 0).ok());
-  EXPECT_FALSE(
-      ParallelMdJoinDetailSplit(*base, sales, {Count("n")}, nullptr, 2, 2).ok());
+  MdJoinOptions options;
+  options.num_threads = 2;
+  EXPECT_FALSE(MdJoin(*base, sales, {Count("n")}, nullptr, options).ok());
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
+#include "core/generalized.h"
+#include "core/reference.h"
 #include "table/table_builder.h"
 
 namespace mdjoin {
@@ -107,6 +111,39 @@ inline ::testing::AssertionResult TablesBitIdentical(const Table& a, const Table
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// The generalized expectation: k reference MD-joins, one per component,
+/// their aggregate columns concatenated after B's columns in order.
+inline Table GeneralizedReference(const Table& base, const Table& detail,
+                                  const std::vector<MdJoinComponent>& components) {
+  Table out = base.Clone();
+  for (const MdJoinComponent& comp : components) {
+    Result<Table> one = MdJoinReference(base, detail, comp.aggs, comp.theta);
+    MDJ_CHECK(one.ok()) << one.status().ToString();
+    for (int c = base.num_columns(); c < one->num_columns(); ++c) {
+      Status st = out.AddColumn(one->schema().field(c), one->column(c));
+      MDJ_CHECK(st.ok()) << st.ToString();
+    }
+  }
+  return out;
+}
+
+/// Example 2.2's tri-state pivot as a k = 3 generalized MD-join over a
+/// customer base: per customer, the count, total and average sale in each of
+/// NY, NJ and CT — one (l_i, θ_i) component per state.
+inline std::vector<MdJoinComponent> TriStateComponents() {
+  std::vector<MdJoinComponent> components;
+  const std::pair<std::string, const char*> states[] = {
+      {"ny", "NY"}, {"nj", "NJ"}, {"ct", "CT"}};
+  for (const auto& [s, code] : states) {
+    components.push_back(
+        {{Count("n_" + s), Sum(dsl::RCol("sale"), "total_" + s),
+          Avg(dsl::RCol("sale"), "avg_" + s)},
+         dsl::And(dsl::Eq(dsl::RCol("cust"), dsl::BCol("cust")),
+                  dsl::Eq(dsl::RCol("state"), dsl::Lit(code)))});
+  }
+  return components;
 }
 
 }  // namespace testutil

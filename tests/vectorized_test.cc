@@ -31,6 +31,7 @@ namespace {
 using namespace mdjoin::dsl;  // NOLINT
 using testutil::ALL;
 using testutil::F;
+using testutil::GeneralizedReference;
 using testutil::I;
 using testutil::NUL;
 using testutil::S;
@@ -106,22 +107,6 @@ int64_t ColumnSum(const Table& t, const std::string& name) {
   int64_t sum = 0;
   for (int64_t r = 0; r < t.num_rows(); ++r) sum += t.Get(r, c).int64();
   return sum;
-}
-
-/// The generalized expectation: k reference MD-joins, one per component,
-/// their aggregate columns concatenated after B's columns in order.
-Table GeneralizedReference(const Table& base, const Table& detail,
-                           const std::vector<MdJoinComponent>& components) {
-  Table out = base.Clone();
-  for (const MdJoinComponent& comp : components) {
-    Result<Table> one = MdJoinReference(base, detail, comp.aggs, comp.theta);
-    MDJ_CHECK(one.ok()) << one.status().ToString();
-    for (int c = base.num_columns(); c < one->num_columns(); ++c) {
-      Status st = out.AddColumn(one->schema().field(c), one->column(c));
-      MDJ_CHECK(st.ok()) << st.ToString();
-    }
-  }
-  return out;
 }
 
 /// Passes the driver must make: ⌈|B| / rows per pass⌉, 0 for an empty B.
@@ -340,41 +325,53 @@ TEST_P(VectorizedAB, GeneralizedMultiPassAndSoftBudget) {
   const Table want = GeneralizedReference(base_, sales_, components);
   const int64_t state_bytes = 4 * base_.num_rows() * kGuardBytesPerAggState;
 
-  // base_rows_per_pass = 7 under a soft budget roomy enough not to bind:
-  // ⌈|B| / 7⌉ passes, each serving both components.
-  {
-    QueryGuardOptions gopt;
-    gopt.memory_budget_bytes = state_bytes + 2 * 100 * kGuardBytesPerIndexedBaseRow;
-    QueryGuard guard(gopt);
-    MdJoinOptions options;
-    options.base_rows_per_pass = 7;
-    options.guard = &guard;
-    MdJoinStats stats;
-    Result<Table> got = GeneralizedMdJoin(base_, sales_, components, options, &stats);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(TablesBitIdentical(want, *got));
-    EXPECT_FALSE(stats.memory_degraded);
-    EXPECT_EQ(stats.passes_over_detail, (base_.num_rows() + 6) / 7);
-    EXPECT_EQ(stats.detail_rows_scanned, sales_.num_rows() * stats.passes_over_detail);
-    EXPECT_EQ(stats.matched_pairs, ColumnSum(want, "n") + ColumnSum(want, "n_ny"));
-    EXPECT_EQ(guard.bytes_reserved(), 0);
-  }
-  // A soft budget that fits 2 indexed rows per component degrades to
-  // ⌈|B| / 2⌉ passes instead of failing.
-  {
-    QueryGuardOptions gopt;
-    gopt.memory_budget_bytes = state_bytes + 2 * 2 * kGuardBytesPerIndexedBaseRow;
-    QueryGuard guard(gopt);
-    MdJoinOptions options;
-    options.guard = &guard;
-    MdJoinStats stats;
-    Result<Table> got = GeneralizedMdJoin(base_, sales_, components, options, &stats);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(TablesBitIdentical(want, *got));
-    EXPECT_TRUE(stats.memory_degraded);
-    EXPECT_EQ(stats.base_rows_per_pass_effective, 2);
-    EXPECT_EQ(stats.passes_over_detail, (base_.num_rows() + 1) / 2);
-    EXPECT_EQ(guard.bytes_reserved(), 0);
+  // Theorem 4.1 staging is planned before any worker exists, so every thread
+  // count makes the same passes; 32-row morsels give the workers units to
+  // share.
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // base_rows_per_pass = 7 under a soft budget roomy enough not to bind:
+    // ⌈|B| / 7⌉ passes, each serving both components.
+    {
+      QueryGuardOptions gopt;
+      gopt.memory_budget_bytes = state_bytes + 2 * 100 * kGuardBytesPerIndexedBaseRow;
+      QueryGuard guard(gopt);
+      MdJoinOptions options;
+      options.base_rows_per_pass = 7;
+      options.guard = &guard;
+      options.num_threads = threads;
+      options.morsel_size = 32;
+      MdJoinStats stats;
+      Result<Table> got = GeneralizedMdJoin(base_, sales_, components, options, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(TablesBitIdentical(want, *got));
+      EXPECT_FALSE(stats.memory_degraded);
+      EXPECT_EQ(stats.passes_over_detail, (base_.num_rows() + 6) / 7);
+      EXPECT_EQ(stats.detail_rows_scanned, sales_.num_rows() * stats.passes_over_detail);
+      EXPECT_EQ(stats.matched_pairs, ColumnSum(want, "n") + ColumnSum(want, "n_ny"));
+      EXPECT_EQ(stats.num_threads, threads);
+      EXPECT_EQ(guard.bytes_reserved(), 0);
+    }
+    // A soft budget that fits 2 indexed rows per component degrades to
+    // ⌈|B| / 2⌉ passes instead of failing.
+    {
+      QueryGuardOptions gopt;
+      gopt.memory_budget_bytes = state_bytes + 2 * 2 * kGuardBytesPerIndexedBaseRow;
+      QueryGuard guard(gopt);
+      MdJoinOptions options;
+      options.guard = &guard;
+      options.num_threads = threads;
+      options.morsel_size = 32;
+      MdJoinStats stats;
+      Result<Table> got = GeneralizedMdJoin(base_, sales_, components, options, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(TablesBitIdentical(want, *got));
+      EXPECT_TRUE(stats.memory_degraded);
+      EXPECT_EQ(stats.base_rows_per_pass_effective, 2);
+      EXPECT_EQ(stats.passes_over_detail, (base_.num_rows() + 1) / 2);
+      EXPECT_EQ(stats.num_threads, threads);
+      EXPECT_EQ(guard.bytes_reserved(), 0);
+    }
   }
 }
 
@@ -444,16 +441,18 @@ TEST_P(VectorizedAB, ParallelVariantsAgree) {
   ExprPtr theta = And(Eq(RCol("cust"), BCol("cust")), Gt(RCol("sale"), Lit(60.0)));
   Result<Table> want = MdJoinReference(base_, sales_, MixedAggs(), theta);
   ASSERT_TRUE(want.ok());
-  ParallelMdJoinStats base_split_stats, detail_split_stats;
+  MdJoinStats base_split_stats, detail_split_stats;
   Result<Table> base_split =
       ParallelMdJoin(base_, sales_, MixedAggs(), theta, /*num_partitions=*/3,
                      /*num_threads=*/2, {}, &base_split_stats);
-  Result<Table> detail_split = ParallelMdJoinDetailSplit(
-      base_, sales_, MixedAggs(), theta, /*num_partitions=*/3,
-      /*num_threads=*/2, {}, &detail_split_stats);
+  MdJoinOptions threaded;
+  threaded.num_threads = 2;
+  threaded.morsel_size = 32;
+  Result<Table> detail_split =
+      MdJoin(base_, sales_, MixedAggs(), theta, threaded, &detail_split_stats);
   ASSERT_TRUE(base_split.ok()) << base_split.status().ToString();
   ASSERT_TRUE(detail_split.ok()) << detail_split.status().ToString();
-  EXPECT_TRUE(TablesEqualUnordered(*want, *base_split));
+  EXPECT_TRUE(TablesBitIdentical(*want, *base_split));
   EXPECT_TRUE(TablesBitIdentical(*want, *detail_split));
   EXPECT_GT(base_split_stats.blocks, 0);
   EXPECT_GT(detail_split_stats.blocks, 0);
