@@ -20,7 +20,8 @@
 ///   --explain-analyze   execute recording a per-operator profile and print
 ///                       the annotated plan (rows, selectivity, timings, the
 ///                       optimizer's rewrite log, terminal status) instead of
-///                       the result rows. No CSE: the plan runs as written.
+///                       the result rows. A repeated subtree runs once and
+///                       shows as a `shared` leaf at its later occurrences.
 ///   --trace-out=FILE    collect a Chrome trace (chrome://tracing / Perfetto)
 ///                       of the execution — per-worker tracks with morsel
 ///                       spans, steal waits, merge tree, guard trips.
@@ -644,7 +645,7 @@ int main(int argc, char** argv) {
   for (int run = 1; run <= repeat; ++run) {
     const auto run_start = std::chrono::steady_clock::now();
     result = explain_analyze ? ExplainAnalyze(plan, catalog, md_options, &profile)
-                             : ExecutePlanCse(plan, catalog, md_options);
+                             : ExecutePlan(plan, catalog, md_options);
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - run_start)

@@ -59,35 +59,42 @@ Result<Table> CuboidBase(const Table& t, const CubeLattice& lattice, CuboidMask 
   return out;
 }
 
+// The cube builders take one distinct pass over R, for the finest cuboid,
+// and derive every coarser cuboid from that (Gray et al.: compute a cuboid
+// from a parent). Rows and order match a scan of R per cuboid: the first R
+// row with a given coarse key also carries the first occurrence of its full
+// key, so the finest cuboid meets the coarse keys in R's order, each
+// represented by the same R row.
+
 Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims) {
   MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(dims));
-  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, dims));
-  Table out{std::move(schema)};
+  MDJ_ASSIGN_OR_RETURN(Table finest, GroupByBase(t, dims));
+  Table out{finest.schema()};
   // Full cuboid first, then coarser ones, grand total last — the natural
   // reading order of Figure 1(a).
   for (int level = lattice.num_dims(); level >= 0; --level) {
     for (CuboidMask mask : lattice.CuboidsAtLevel(level)) {
-      MDJ_RETURN_NOT_OK(AppendCuboid(t, dims, mask, &out));
+      MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
     }
   }
   return out;
 }
 
 Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims) {
-  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, dims));
-  Table out{std::move(schema)};
+  MDJ_ASSIGN_OR_RETURN(Table finest, GroupByBase(t, dims));
+  Table out{finest.schema()};
   // Prefix masks: full, drop last dim, ..., grand total.
   for (int k = static_cast<int>(dims.size()); k >= 0; --k) {
     CuboidMask mask = (CuboidMask{1} << k) - 1;
-    MDJ_RETURN_NOT_OK(AppendCuboid(t, dims, mask, &out));
+    MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
   }
   return out;
 }
 
 Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
                                const std::vector<std::vector<std::string>>& sets) {
-  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, dims));
-  Table out{std::move(schema)};
+  MDJ_ASSIGN_OR_RETURN(Table finest, GroupByBase(t, dims));
+  Table out{finest.schema()};
   for (const std::vector<std::string>& set : sets) {
     CuboidMask mask = 0;
     for (const std::string& attr : set) {
@@ -104,7 +111,7 @@ Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& d
                                        "' is not among the declared dimensions");
       }
     }
-    MDJ_RETURN_NOT_OK(AppendCuboid(t, dims, mask, &out));
+    MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
   }
   return out;
 }

@@ -40,6 +40,7 @@ void NodeToText(const OperatorProfile& node, int depth, std::string* out) {
                   node.qerror());
     *out += buf;
   }
+  if (node.shared) *out += " shared";
   if (node.is_mdjoin) {
     AppendCount("scanned", node.detail_rows_scanned, out);
     if (node.selectivity() >= 0) {
@@ -136,6 +137,7 @@ void NodeToJson(const OperatorProfile& node, std::string* out) {
     AppendKvMs("est_rows", node.est_rows, &first, out);
     AppendKvMs("qerror", node.qerror(), &first, out);
   }
+  if (node.shared) *out += ", \"shared\": true";
   if (node.is_mdjoin) {
     AppendKv("detail_rows_scanned", node.detail_rows_scanned, &first, out);
     AppendKv("detail_rows_qualified", node.detail_rows_qualified, &first, out);

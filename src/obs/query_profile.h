@@ -21,6 +21,11 @@ struct OperatorProfile {
   /// Optimizer-estimated output cardinality, annotated by EXPLAIN ANALYZE
   /// from the cost model; -1 when no estimate was produced for this node.
   double est_rows = -1;
+  /// A CSE hit: the result of an identical subtree evaluated earlier in the
+  /// plan, handed over without running anything. Rendered as a leaf.
+  bool shared = false;
+  /// A catalog table read in place: nothing was materialized.
+  bool borrowed = false;
 
   // MD-join scan counters (Algorithm 3.1 work accounting).
   bool is_mdjoin = false;

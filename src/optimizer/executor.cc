@@ -27,18 +27,17 @@ namespace mdjoin {
 
 namespace {
 
-/// Optional memo for ExecutePlanCse: explain-rendering of a subtree → result.
-using CseCache = std::unordered_map<std::string, Table>;
+/// One node's result, shared and immutable. A freshly built result is owned
+/// by whoever holds the pointer; a catalog table is borrowed (no owner — the
+/// catalog outlives the call), and a CSE hit hands back the memo's pointer.
+using NodeResult = std::shared_ptr<const Table>;
 
-Result<Table> Exec(const PlanPtr& plan, const Catalog& catalog,
-                   const MdJoinOptions& md_options, ExecStats* stats,
-                   CseCache* cse = nullptr, OperatorProfile* parent_profile = nullptr);
-
-Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
-                       const MdJoinOptions& md_options, ExecStats* stats,
-                       CseCache* cse, OperatorProfile* profile = nullptr);
-
-Status AccountMaterialization(const MdJoinOptions& md_options, const Table& t);
+/// Wraps a freshly built table. Allocated mutable, so the root result can be
+/// moved out to the caller once nothing else holds it.
+Result<NodeResult> Own(Result<Table> t) {
+  MDJ_RETURN_NOT_OK(t.status());
+  return NodeResult(std::make_shared<Table>(std::move(t).ValueOrDie()));
+}
 
 /// CPU time of the calling thread, for OperatorProfile::cpu_ms. The executor
 /// recurses on one thread, so this is inclusive of children (like elapsed_ms)
@@ -50,70 +49,16 @@ double ThreadCpuMs() {
   return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
-Result<Table> Exec(const PlanPtr& plan, const Catalog& catalog,
-                   const MdJoinOptions& md_options, ExecStats* stats, CseCache* cse,
-                   OperatorProfile* parent_profile) {
-  // Guard gate per plan node: a cancel/deadline issued between operators is
-  // observed here even when no MD-join scan is running; inside scans the
-  // stride checks take over.
-  if (md_options.guard != nullptr) {
-    MDJ_RETURN_NOT_OK(md_options.guard->Check());
-  }
-  if (MDJ_FAILPOINT("executor:node_error")) {
-    return Status::Internal("plan node '", plan->Label(),
-                            "' failed (failpoint executor:node_error)");
-  }
-  Span node_span(PlanKindToString(plan->kind()), "plan");
-  if (parent_profile != nullptr) {
-    auto node = std::make_unique<OperatorProfile>();
-    OperatorProfile* raw = node.get();
-    raw->label = plan->Label();
-    parent_profile->children.push_back(std::move(node));
-    const auto start = std::chrono::steady_clock::now();
-    const double cpu_start = ThreadCpuMs();
-    Result<Table> result = ExecNode(plan, catalog, md_options, stats, cse, raw);
-    raw->elapsed_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  start)
-            .count();
-    raw->cpu_ms = ThreadCpuMs() - cpu_start;
-    double child_ms = 0;
-    for (const auto& c : raw->children) child_ms += c->elapsed_ms;
-    raw->self_ms = raw->elapsed_ms - child_ms;
-    if (result.ok()) {
-      raw->output_rows = result->num_rows();
-      node_span.SetArg("rows", raw->output_rows);
-      MDJ_RETURN_NOT_OK(AccountMaterialization(md_options, *result));
-    }
-    return result;
-  }
-  if (cse != nullptr) {
-    std::string key = ExplainPlan(plan);
-    auto it = cse->find(key);
-    if (it != cse->end()) {
-      ++stats->cse_hits;
-      return it->second.Clone();
-    }
-    MDJ_ASSIGN_OR_RETURN(Table out, ExecNode(plan, catalog, md_options, stats, cse));
-    MDJ_RETURN_NOT_OK(AccountMaterialization(md_options, out));
-    cse->emplace(std::move(key), out.Clone());
-    return out;
-  }
-  MDJ_ASSIGN_OR_RETURN(Table out, ExecNode(plan, catalog, md_options, stats, cse));
-  MDJ_RETURN_NOT_OK(AccountMaterialization(md_options, out));
-  return out;
-}
-
 /// Charges a freshly materialized node output against the guard's memory
-/// accountant. The reservation is transient (released immediately): the
-/// executor hands tables up the tree rather than owning them, so this checks
-/// each materialization against the hard limit and feeds the high-water
-/// counter without double-charging long-lived results.
+/// accountant. The reservation is transient (released immediately): results
+/// are shared up the tree rather than owned by the guard, so this checks each
+/// materialization against the hard limit and feeds the high-water counter
+/// without double-charging long-lived results.
 Status AccountMaterialization(const MdJoinOptions& md_options, const Table& t) {
   if (md_options.guard == nullptr) return Status::OK();
-  MDJ_RETURN_NOT_OK(
-      md_options.guard->ReserveBytes(t.ApproxBytes(), "materialized node output"));
-  md_options.guard->ReleaseBytes(t.ApproxBytes());
+  const int64_t bytes = t.ApproxBytes();
+  MDJ_RETURN_NOT_OK(md_options.guard->ReserveBytes(bytes, "materialized node output"));
+  md_options.guard->ReleaseBytes(bytes);
   return Status::OK();
 }
 
@@ -148,75 +93,150 @@ void FillMdJoinProfile(OperatorProfile* profile, const MdJoinStats& s,
   profile->spill_bytes_written = s.spill_bytes_written;
 }
 
-Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
-                       const MdJoinOptions& md_options, ExecStats* stats,
-                       CseCache* cse, OperatorProfile* profile) {
+/// The one place ExecStats is computed: a fold over the operator tree.
+void FoldStats(const OperatorProfile& node, ExecStats* stats) {
+  if (node.shared) {
+    ++stats->cse_hits;
+    return;
+  }
   ++stats->nodes_executed;
+  if (!node.borrowed) stats->rows_materialized += node.output_rows;
+  if (node.is_mdjoin) {
+    ++stats->mdjoin_operators;
+    stats->detail_rows_scanned += node.detail_rows_scanned;
+    stats->candidate_pairs += node.candidate_pairs;
+    stats->matched_pairs += node.matched_pairs;
+  }
+  stats->blocks_read += node.blocks_read;
+  stats->spill_bytes += node.spill_bytes_written;
+  for (const auto& child : node.children) FoldStats(*child, stats);
+}
+
+/// The executor's one walk, behind ExecutePlan and ExplainAnalyze (contract
+/// in executor.h). CSE state: the number of occurrences of each non-leaf
+/// subtree, keyed by ExplainPlan, and the result of those occurring twice or
+/// more until their last occurrence takes it. Leaves are never memoized: a
+/// TableRef is borrowed and an EmptyRef is free.
+class PlanWalk {
+ public:
+  PlanWalk(const PlanPtr& plan, const Catalog& catalog, const MdJoinOptions& md_options)
+      : catalog_(catalog), md_options_(md_options) {
+    CountSubtrees(plan);
+  }
+
+  /// Evaluates `plan`, appending its profile to `parent->children`.
+  Result<NodeResult> Run(const PlanPtr& plan, OperatorProfile* parent) {
+    // Guard gate per plan node: a cancel/deadline issued between operators
+    // is observed here even when no MD-join scan is running; inside scans
+    // the stride checks take over.
+    if (md_options_.guard != nullptr) {
+      MDJ_RETURN_NOT_OK(md_options_.guard->Check());
+    }
+    if (MDJ_FAILPOINT("executor:node_error")) {
+      return Status::Internal("plan node '", plan->Label(),
+                              "' failed (failpoint executor:node_error)");
+    }
+    Span node_span(PlanKindToString(plan->kind()), "plan");
+    auto owned = std::make_unique<OperatorProfile>();
+    OperatorProfile* node = owned.get();
+    node->label = plan->Label();
+    parent->children.push_back(std::move(owned));
+
+    MemoEntry* memo = plan->children().empty() ? nullptr : &memo_.at(ExplainPlan(plan));
+    if (memo != nullptr && memo->result != nullptr) {
+      node->shared = true;
+      node->output_rows = memo->result->num_rows();
+      return --memo->uses_left == 0 ? std::move(memo->result) : memo->result;
+    }
+
+    const auto start = std::chrono::steady_clock::now();
+    const double cpu_start = ThreadCpuMs();
+    Result<NodeResult> result = Eval(plan, node);
+    node->elapsed_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                  start)
+            .count();
+    node->cpu_ms = ThreadCpuMs() - cpu_start;
+    double child_ms = 0;
+    for (const auto& c : node->children) child_ms += c->elapsed_ms;
+    node->self_ms = node->elapsed_ms - child_ms;
+    MDJ_RETURN_NOT_OK(result.status());
+    const Table& out = **result;
+    node->output_rows = out.num_rows();
+    node_span.SetArg("rows", node->output_rows);
+    if (!node->borrowed) MDJ_RETURN_NOT_OK(AccountMaterialization(md_options_, out));
+    if (memo != nullptr && --memo->uses_left > 0) memo->result = *result;
+    return result;
+  }
+
+ private:
+  struct MemoEntry {
+    int uses_left = 0;  // occurrences in the plan not yet served
+    NodeResult result;  // set while a repeated subtree has occurrences left
+  };
+
+  void CountSubtrees(const PlanPtr& plan) {
+    if (plan->children().empty()) return;
+    ++memo_[ExplainPlan(plan)].uses_left;
+    for (const PlanPtr& c : plan->children()) CountSubtrees(c);
+  }
+
+  Result<NodeResult> Eval(const PlanPtr& plan, OperatorProfile* profile);
+
+  const Catalog& catalog_;
+  const MdJoinOptions& md_options_;
+  std::unordered_map<std::string, MemoEntry> memo_;
+};
+
+Result<NodeResult> PlanWalk::Eval(const PlanPtr& plan, OperatorProfile* profile) {
   switch (plan->kind()) {
     case PlanKind::kTableRef: {
       // Paged relation consumed outside an MD-join detail position (the one
       // place with a block-at-a-time path): materialize it whole, charged to
       // the guard while assembling. Correct for every operator, just not
       // out-of-core — the planner keeps paged tables in detail position.
-      if (const PagedTable* paged = catalog.FindPaged(plan->table_name)) {
-        MDJ_ASSIGN_OR_RETURN(Table all, paged->ReadAll(md_options.guard));
-        stats->rows_materialized += all.num_rows();
-        return all;
+      if (const PagedTable* paged = catalog_.FindPaged(plan->table_name)) {
+        return Own(paged->ReadAll(md_options_.guard));
       }
-      MDJ_ASSIGN_OR_RETURN(const Table* t, catalog.Lookup(plan->table_name));
-      Table copy = t->Clone();
-      stats->rows_materialized += copy.num_rows();
-      return copy;
+      MDJ_ASSIGN_OR_RETURN(const Table* t, catalog_.Lookup(plan->table_name));
+      profile->borrowed = true;
+      return NodeResult(NodeResult(), t);  // aliasing, no owner: borrowed
     }
     case PlanKind::kFilter: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      MDJ_ASSIGN_OR_RETURN(Table out, Filter(child, plan->predicate));
-      stats->rows_materialized += out.num_rows();
-      return out;
+      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
+      return Own(Filter(*child, plan->predicate));
     }
     case PlanKind::kProject: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      MDJ_ASSIGN_OR_RETURN(Table out, Project(child, plan->projections));
-      stats->rows_materialized += out.num_rows();
-      return out;
+      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
+      return Own(Project(*child, plan->projections));
     }
     case PlanKind::kDistinct: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      Table out = Distinct(child);
-      stats->rows_materialized += out.num_rows();
-      return out;
+      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
+      return Own(Distinct(*child));
     }
     case PlanKind::kUnion: {
-      std::vector<Table> pieces;
-      pieces.reserve(plan->children().size());
+      std::vector<NodeResult> pieces;
+      std::vector<const Table*> tables;
       for (const PlanPtr& c : plan->children()) {
-        MDJ_ASSIGN_OR_RETURN(Table piece, Exec(c, catalog, md_options, stats, cse, profile));
+        MDJ_ASSIGN_OR_RETURN(NodeResult piece, Run(c, profile));
+        tables.push_back(piece.get());
         pieces.push_back(std::move(piece));
       }
-      MDJ_ASSIGN_OR_RETURN(Table out, ConcatAll(pieces));
-      stats->rows_materialized += out.num_rows();
-      return out;
+      return Own(ConcatAll(tables));
     }
     case PlanKind::kPartition: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      std::vector<Table> parts = PartitionIntoN(child, plan->partition_count);
-      Table out = std::move(parts[static_cast<size_t>(plan->partition_index)]);
-      stats->rows_materialized += out.num_rows();
-      return out;
+      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
+      return Own(PartitionSlice(*child, plan->partition_index, plan->partition_count));
     }
     case PlanKind::kHashJoin: {
-      MDJ_ASSIGN_OR_RETURN(Table left, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      MDJ_ASSIGN_OR_RETURN(Table right, Exec(plan->child(1), catalog, md_options, stats, cse, profile));
-      MDJ_ASSIGN_OR_RETURN(Table out, HashJoin(left, right, plan->left_keys,
-                                               plan->right_keys, plan->join_type));
-      stats->rows_materialized += out.num_rows();
-      return out;
+      MDJ_ASSIGN_OR_RETURN(NodeResult left, Run(plan->child(0), profile));
+      MDJ_ASSIGN_OR_RETURN(NodeResult right, Run(plan->child(1), profile));
+      return Own(
+          HashJoin(*left, *right, plan->left_keys, plan->right_keys, plan->join_type));
     }
     case PlanKind::kGroupBy: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      MDJ_ASSIGN_OR_RETURN(Table out, GroupBy(child, plan->group_columns, plan->aggs));
-      stats->rows_materialized += out.num_rows();
-      return out;
+      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
+      return Own(GroupBy(*child, plan->group_columns, plan->aggs));
     }
     case PlanKind::kMdJoin:
     case PlanKind::kGeneralizedMdJoin: {
@@ -224,7 +244,7 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       std::vector<MdJoinComponent> components =
           single ? std::vector<MdJoinComponent>{{plan->aggs, plan->theta}}
                  : plan->components;
-      MDJ_ASSIGN_OR_RETURN(Table base, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
+      MDJ_ASSIGN_OR_RETURN(NodeResult base, Run(plan->child(0), profile));
       // Out-of-core: a paged catalog reference in detail position — directly
       // or under detail Filters — is never materialized. Each Filter folds
       // into every θ (Theorem 4.2 read right to left: MD(B, σ_p R, l, θ) =
@@ -239,7 +259,7 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
           filters.push_back(d->predicate);
           d = d->child(0);
         }
-        if (d->kind() == PlanKind::kTableRef) paged = catalog.FindPaged(d->table_name);
+        if (d->kind() == PlanKind::kTableRef) paged = catalog_.FindPaged(d->table_name);
         if (paged != nullptr) {
           for (MdJoinComponent& comp : components) {
             for (const ExprPtr& p : filters) {
@@ -248,82 +268,82 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
           }
         }
       }
-      Table detail;  // the materialized detail child; unused when paged
+      NodeResult detail;  // the materialized detail child; null when paged
       if (paged == nullptr) {
-        MDJ_ASSIGN_OR_RETURN(detail, Exec(plan->child(1), catalog, md_options, stats, cse, profile));
+        MDJ_ASSIGN_OR_RETURN(detail, Run(plan->child(1), profile));
       }
-      ++stats->mdjoin_operators;
       // The partitioned-spill escape hatch serves single MD-joins; a
       // generalized node under memory pressure degrades to more passes.
       MdJoinStats md_stats;
       auto run = [&]() -> Result<Table> {
-        if (md_options.enable_spill && single) {
+        if (md_options_.enable_spill && single) {
           const MdJoinComponent& c = components[0];
           return paged != nullptr
-                     ? PagedMdJoin(base, *paged, c.aggs, c.theta, md_options, &md_stats)
-                     : SpillMdJoin(base, detail, c.aggs, c.theta, md_options, &md_stats);
+                     ? PagedMdJoin(*base, *paged, c.aggs, c.theta, md_options_, &md_stats)
+                     : SpillMdJoin(*base, *detail, c.aggs, c.theta, md_options_,
+                                   &md_stats);
         }
         const char* op = PlanKindToString(plan->kind());
         if (paged != nullptr) {
-          return RunMdJoin(op, base, PagedSource(*paged, components, md_options),
-                           components, md_options, &md_stats);
+          return RunMdJoin(op, *base, PagedSource(*paged, components, md_options_),
+                           components, md_options_, &md_stats);
         }
-        return RunMdJoin(op, base, DetailSource(detail), components, md_options,
+        return RunMdJoin(op, *base, DetailSource(*detail), components, md_options_,
                          &md_stats);
       };
       Result<Table> out = run();
       // On failure the stats still hold partial counts; record them either
       // way so a cancelled query's profile stays truthful.
-      stats->detail_rows_scanned += md_stats.detail_rows_scanned;
-      stats->candidate_pairs += md_stats.candidate_pairs;
-      stats->matched_pairs += md_stats.matched_pairs;
-      stats->blocks_read += md_stats.blocks_read;
-      stats->spill_bytes += md_stats.spill_bytes_written;
-      if (profile != nullptr) FillMdJoinProfile(profile, md_stats, components);
-      MDJ_RETURN_NOT_OK(out.status());
-      stats->rows_materialized += out->num_rows();
-      return out;
+      FillMdJoinProfile(profile, md_stats, components);
+      return Own(std::move(out));
     }
     case PlanKind::kCubeBase: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      MDJ_ASSIGN_OR_RETURN(Table out, CubeByBase(child, plan->cube_dims));
-      stats->rows_materialized += out.num_rows();
-      return out;
+      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
+      return Own(CubeByBase(*child, plan->cube_dims));
     }
     case PlanKind::kSort: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
+      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
       MDJ_ASSIGN_OR_RETURN(std::vector<int> cols,
-                           ResolveColumns(child.schema(), plan->sort_columns));
+                           ResolveColumns(child->schema(), plan->sort_columns));
       std::vector<SortKey> keys;
       for (size_t i = 0; i < cols.size(); ++i) {
         keys.push_back({cols[i], plan->sort_ascending[i]});
       }
-      Table out = SortTable(child, keys);
-      stats->rows_materialized += out.num_rows();
-      return out;
+      return Own(SortTable(*child, keys));
     }
     case PlanKind::kCuboidBase: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
+      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
       MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(plan->cube_dims));
-      MDJ_ASSIGN_OR_RETURN(Table out, CuboidBase(child, lattice, plan->cuboid_mask));
-      stats->rows_materialized += out.num_rows();
-      return out;
+      return Own(CuboidBase(*child, lattice, plan->cuboid_mask));
     }
     case PlanKind::kEmptyRef: {
       if (plan->empty_schema == nullptr) {
         return Status::InvalidArgument("EmptyRef carries no schema");
       }
-      return Table{*plan->empty_schema};
+      return Own(Table{*plan->empty_schema});
     }
   }
   return Status::Internal("unreachable plan kind");
 }
 
-/// Debug invariant mode: statically verify the plan before evaluating it,
-/// when asked to by the options or the MDJOIN_VERIFY_PLANS environment
-/// variable. Executing an ill-formed tree would surface as a confusing
-/// runtime error deep inside some operator; the analyzer diagnostic names
-/// the offending node and rule instead.
+/// Runs the walk over `plan`. The operator tree lands in `holder`'s
+/// children — partial on failure — and, when asked, its fold in `stats`.
+Result<Table> Walk(const PlanPtr& plan, const Catalog& catalog,
+                   const MdJoinOptions& md_options, OperatorProfile* holder,
+                   ExecStats* stats) {
+  Result<NodeResult> out = PlanWalk(plan, catalog, md_options).Run(plan, holder);
+  if (stats != nullptr) {
+    *stats = ExecStats{};
+    for (const auto& root : holder->children) FoldStats(*root, stats);
+  }
+  MDJ_RETURN_NOT_OK(out.status());
+  // The walk and its memo are gone: a root it built has no other holder and
+  // moves out; only a borrowed catalog table is copied.
+  NodeResult root = std::move(out).ValueOrDie();
+  if (root.use_count() == 1) return std::move(const_cast<Table&>(*root));
+  return root->Clone();
+}
+
 /// Lockstep walk over the plan and profile trees, annotating each profiled
 /// operator with the cost model's estimated cardinality. Estimation runs over
 /// the same catalog (and optional feedback store) the optimizer saw, so
@@ -354,9 +374,11 @@ double MaxQError(const OperatorProfile& node) {
 /// Feeds each operator's measured output cardinality (and for MD-joins the
 /// detail-scan volume and selectivity) back into the store under the
 /// subtree's fingerprint. Runs only on complete executions: partial counts
-/// from a tripped guard would poison the EWMA.
+/// from a tripped guard would poison the EWMA. A shared (CSE-hit) node was
+/// measured at its first occurrence and is not recorded twice.
 void HarvestFeedback(const PlanPtr& plan, const OperatorProfile& profile,
                      FeedbackStore* feedback) {
+  if (profile.shared) return;
   feedback->Record(PlanFingerprint(plan),
                    static_cast<double>(profile.output_rows),
                    profile.is_mdjoin
@@ -377,6 +399,11 @@ Histogram* PlanQErrorHistogram() {
   return h;
 }
 
+/// Debug invariant mode: statically verify the plan before evaluating it,
+/// when asked to by the options or the MDJOIN_VERIFY_PLANS environment
+/// variable. Executing an ill-formed tree would surface as a confusing
+/// runtime error deep inside some operator; the analyzer diagnostic names
+/// the offending node and rule instead.
 Status MaybeVerify(const PlanPtr& plan, const Catalog& catalog,
                    const MdJoinOptions& md_options, const char* context) {
   if (!md_options.verify_plans && !VerifyPlansEnabledByEnv()) return Status::OK();
@@ -389,25 +416,13 @@ Result<Table> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                           const MdJoinOptions& md_options, ExecStats* stats) {
   if (plan == nullptr) return Status::InvalidArgument("ExecutePlan: null plan");
   MDJ_RETURN_NOT_OK(MaybeVerify(plan, catalog, md_options, "ExecutePlan"));
-  ExecStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = ExecStats{};
-  return Exec(plan, catalog, md_options, stats);
-}
-
-Result<Table> ExecutePlanCse(const PlanPtr& plan, const Catalog& catalog,
-                             const MdJoinOptions& md_options, ExecStats* stats) {
-  if (plan == nullptr) return Status::InvalidArgument("ExecutePlanCse: null plan");
-  MDJ_RETURN_NOT_OK(MaybeVerify(plan, catalog, md_options, "ExecutePlanCse"));
-  ExecStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = ExecStats{};
-  CseCache cache;
-  return Exec(plan, catalog, md_options, stats, &cache);
+  OperatorProfile holder;
+  return Walk(plan, catalog, md_options, &holder, stats);
 }
 
 Result<Table> ExplainAnalyze(const PlanPtr& plan, const Catalog& catalog,
-                             const MdJoinOptions& md_options, QueryProfile* profile) {
+                             const MdJoinOptions& md_options, QueryProfile* profile,
+                             ExecStats* stats) {
   if (profile == nullptr) {
     return Status::InvalidArgument("ExplainAnalyze: null profile");
   }
@@ -429,12 +444,9 @@ Result<Table> ExplainAnalyze(const PlanPtr& plan, const Catalog& catalog,
     return setup;
   }
 
-  ExecStats stats;
   OperatorProfile holder;  // transient parent; its first child is the real root
-  holder.label = "(root)";
   const auto start = std::chrono::steady_clock::now();
-  Result<Table> result =
-      Exec(plan, catalog, md_options, &stats, /*cse=*/nullptr, &holder);
+  Result<Table> result = Walk(plan, catalog, md_options, &holder, stats);
   profile->total_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 start)
@@ -462,16 +474,6 @@ Result<Table> ExplainAnalyze(const PlanPtr& plan, const Catalog& catalog,
   if (profile->complete && md_options.feedback != nullptr) {
     HarvestFeedback(plan, *profile->root, md_options.feedback);
   }
-  return result;
-}
-
-std::string ProfiledResult::ToString() const { return profile.ToText(); }
-
-Result<ProfiledResult> ExecutePlanProfiled(const PlanPtr& plan, const Catalog& catalog,
-                                           const MdJoinOptions& md_options) {
-  ProfiledResult result;
-  MDJ_ASSIGN_OR_RETURN(result.table,
-                       ExplainAnalyze(plan, catalog, md_options, &result.profile));
   return result;
 }
 

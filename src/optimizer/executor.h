@@ -7,62 +7,54 @@
 
 namespace mdjoin {
 
-/// Work counters accumulated over a whole plan execution, for comparing
-/// rewritten plans in the experiment harness.
+/// Work counters of one plan execution, folded from its operator profile
+/// tree; ExecutePlan and ExplainAnalyze fill equal counters for one plan.
 struct ExecStats {
-  int64_t nodes_executed = 0;
+  int64_t nodes_executed = 0;        // plan nodes evaluated (CSE hits excluded)
   int64_t detail_rows_scanned = 0;   // summed over all (generalized) MD-joins
   int64_t candidate_pairs = 0;
   int64_t matched_pairs = 0;
   int64_t mdjoin_operators = 0;      // MD-join nodes evaluated
-  int64_t rows_materialized = 0;     // total output rows across nodes
-  int64_t cse_hits = 0;              // subtree reuses (ExecutePlanCse only)
+  int64_t rows_materialized = 0;     // output rows of the nodes that built one
+                                     // (borrowed catalog tables and CSE hits
+                                     // build none)
+  int64_t cse_hits = 0;              // occurrences served a shared subtree result
   int64_t blocks_read = 0;           // paged detail blocks served (faults + hits)
   int64_t spill_bytes = 0;           // bytes written to spill partition files
 };
 
 /// Executes `plan` against `catalog`. Every node materializes its result (an
-/// in-memory engine in the paper's §4.1.1 spirit). MD-join nodes run with
-/// `md_options`.
+/// in-memory engine in the paper's §4.1.1 spirit) except a catalog table,
+/// which is read in place. MD-join nodes run with `md_options`.
+///
+/// Common-subexpression elimination is always on (the paper: "usually
+/// optimizers perform common subexpression elimination"): a non-leaf subtree
+/// whose ExplainPlan rendering occurs more than once in the plan — say the
+/// finer cuboid that feeds several coarser ones in a Theorem 4.5 chain
+/// (ExpandCubeBaseWithRollups) — is evaluated once and its result shared by
+/// every occurrence; `stats->cse_hits` counts the reuses. Only the returned
+/// root is ever copied, and only when it is a catalog table.
 Result<Table> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                           const MdJoinOptions& md_options = {},
                           ExecStats* stats = nullptr);
 
-/// ExecutePlan with common-subexpression elimination: structurally identical
-/// subtrees (same explain rendering) are evaluated once and their results
-/// reused. Rewrites like ExpandCubeBaseWithRollups (Theorem 4.5 chains) build
-/// trees where a finer cuboid feeds several coarser ones; the paper notes
-/// "usually optimizers perform common subexpression elimination" — this is
-/// that step. `stats->cse_hits` counts reuses.
-Result<Table> ExecutePlanCse(const PlanPtr& plan, const Catalog& catalog,
-                             const MdJoinOptions& md_options = {},
-                             ExecStats* stats = nullptr);
-
-/// EXPLAIN ANALYZE: executes `plan` while recording a per-operator
-/// QueryProfile (rows, wall/CPU timings, MD-join scan counters). `profile`
-/// must be non-null; its `rewrites` log is preserved (populate it via
-/// OptimizePlan's rewrite_log before calling), everything else is reset.
+/// EXPLAIN ANALYZE: ExecutePlan's walk, keeping the per-operator
+/// QueryProfile it records (rows, wall/CPU timings, MD-join scan counters).
+/// On top, and only here: the static-analysis report, the cost model's
+/// estimate on each operator, and — with `md_options.feedback` set — the
+/// harvest of measured cardinalities into that store. `profile` must be
+/// non-null; its `rewrites` log is preserved (populate it via OptimizePlan's
+/// rewrite_log before calling), everything else is reset. `stats`, when
+/// given, gets the same counters ExecutePlan would report.
 ///
 /// The profile is always well-formed on return — on a guard trip or operator
 /// failure the tree holds partial counts for whatever executed, `complete` is
 /// false, and `terminal` carries the error status (the terminal event). The
-/// returned Result mirrors that status. No CSE: every node runs, so the
-/// numbers reflect the plan as written.
+/// returned Result mirrors that status. A CSE hit is a leaf marked `shared`:
+/// it did no work, and feedback is harvested at its first occurrence only.
 Result<Table> ExplainAnalyze(const PlanPtr& plan, const Catalog& catalog,
-                             const MdJoinOptions& md_options, QueryProfile* profile);
-
-/// Convenience wrapper around ExplainAnalyze for callers that only care
-/// about the success path.
-struct ProfiledResult {
-  Table table;
-  QueryProfile profile;
-
-  /// QueryProfile::ToText(): indented operator tree + rewrite log + terminal.
-  std::string ToString() const;
-};
-
-Result<ProfiledResult> ExecutePlanProfiled(const PlanPtr& plan, const Catalog& catalog,
-                                           const MdJoinOptions& md_options = {});
+                             const MdJoinOptions& md_options, QueryProfile* profile,
+                             ExecStats* stats = nullptr);
 
 }  // namespace mdjoin
 

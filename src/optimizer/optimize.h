@@ -10,8 +10,8 @@
 namespace mdjoin {
 
 /// Which rewrites the driver may apply. The defaults apply everything that
-/// is beneficial under the plain executor; cube roll-up chains only pay off
-/// under ExecutePlanCse (shared parent cuboids), so they are opt-in.
+/// is beneficial on its own; cube roll-up chains pay off only through the
+/// executor's CSE (shared parent cuboids) and stay opt-in.
 struct OptimizeOptions {
   bool enable_pushdown = true;       // Theorem 4.2
   bool enable_transfer = true;       // Observation 4.1

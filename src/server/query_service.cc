@@ -78,31 +78,6 @@ class ActiveGuardScope {
   void (Session::*const set_)(QueryGuard*);
 };
 
-/// Folds a profiled operator tree into the ExecStats the unprofiled path
-/// would have produced.
-void SumProfileCounters(const OperatorProfile& node, ExecStats* stats) {
-  ++stats->nodes_executed;
-  stats->rows_materialized += node.output_rows;
-  if (node.is_mdjoin) {
-    ++stats->mdjoin_operators;
-    stats->detail_rows_scanned += node.detail_rows_scanned;
-    stats->candidate_pairs += node.candidate_pairs;
-    stats->matched_pairs += node.matched_pairs;
-  }
-  stats->blocks_read += node.blocks_read;
-  stats->spill_bytes += node.spill_bytes_written;
-  for (const auto& child : node.children) {
-    SumProfileCounters(*child, stats);
-  }
-}
-
-/// The storage counters the query record carries, from either engine path.
-void RecordStorageCounters(const ExecStats& stats, QueryRecord* record) {
-  if (record == nullptr) return;
-  record->blocks_read = stats.blocks_read;
-  record->spill_bytes = stats.spill_bytes;
-}
-
 /// Terminal-outcome label for the query record.
 const char* OutcomeLabel(const Status& status) {
   switch (status.code()) {
@@ -196,24 +171,20 @@ Result<Table> QueryService::RunEngine(const PlanPtr& plan, const Catalog& catalo
   md.guard = guard;
   md.num_threads = threads;
   if (block_cache_ != nullptr) md.block_cache = block_cache_.get();
-  if (!options_.collect_feedback) {
-    Result<Table> out = ExecutePlanCse(plan, catalog, md, stats);
-    RecordStorageCounters(*stats, record);
-    return out;
-  }
-  // Feedback mode: run profiled (no CSE — the measurements must reflect the
-  // plan as written), harvest measured cardinalities into the store, and
-  // carry the profile's telemetry into the query record.
-  md.feedback = &feedback_;
+  // Feedback mode runs the same walk profiled, harvesting measured
+  // cardinalities into the store and its telemetry into the query record.
   QueryProfile profile;
-  Result<Table> out = ExplainAnalyze(plan, catalog, md, &profile);
-  if (profile.root != nullptr) {
-    SumProfileCounters(*profile.root, stats);
-  }
-  RecordStorageCounters(*stats, record);
+  if (options_.collect_feedback) md.feedback = &feedback_;
+  Result<Table> out = options_.collect_feedback
+                          ? ExplainAnalyze(plan, catalog, md, &profile, stats)
+                          : ExecutePlan(plan, catalog, md, stats);
   if (record != nullptr) {
-    record->max_qerror = profile.max_qerror;
-    record->cpu_ms = profile.root != nullptr ? profile.root->cpu_ms : 0;
+    record->blocks_read = stats->blocks_read;
+    record->spill_bytes = stats->spill_bytes;
+    if (profile.root != nullptr) {
+      record->max_qerror = profile.max_qerror;
+      record->cpu_ms = profile.root->cpu_ms;
+    }
   }
   return out;
 }

@@ -69,13 +69,20 @@ Result<Table> Concat(const Table& a, const Table& b) {
 }
 
 Result<Table> ConcatAll(const std::vector<Table>& tables) {
+  std::vector<const Table*> pointers;
+  pointers.reserve(tables.size());
+  for (const Table& t : tables) pointers.push_back(&t);
+  return ConcatAll(pointers);
+}
+
+Result<Table> ConcatAll(const std::vector<const Table*>& tables) {
   if (tables.empty()) return Status::InvalidArgument("ConcatAll: no input tables");
-  Table out = tables[0].Clone();
-  for (size_t i = 1; i < tables.size(); ++i) {
-    if (!tables[i].schema().Equals(out.schema())) {
+  Table out(tables[0]->schema());
+  for (size_t i = 0; i < tables.size(); ++i) {
+    if (!tables[i]->schema().Equals(out.schema())) {
       return Status::InvalidArgument("ConcatAll: schema mismatch at table ", i);
     }
-    for (int64_t r = 0; r < tables[i].num_rows(); ++r) out.AppendRowFrom(tables[i], r);
+    for (int64_t r = 0; r < tables[i]->num_rows(); ++r) out.AppendRowFrom(*tables[i], r);
   }
   return out;
 }
@@ -91,18 +98,19 @@ std::vector<Table> PartitionIntoN(const Table& t, int n) {
   MDJ_CHECK(n > 0);
   std::vector<Table> out;
   out.reserve(static_cast<size_t>(n));
-  int64_t rows = t.num_rows();
-  int64_t base = rows / n, extra = rows % n;
-  int64_t start = 0;
-  for (int i = 0; i < n; ++i) {
-    int64_t len = base + (i < extra ? 1 : 0);
-    Table piece(t.schema());
-    piece.Reserve(len);
-    for (int64_t r = start; r < start + len; ++r) piece.AppendRowFrom(t, r);
-    start += len;
-    out.push_back(std::move(piece));
-  }
+  for (int i = 0; i < n; ++i) out.push_back(PartitionSlice(t, i, n));
   return out;
+}
+
+Table PartitionSlice(const Table& t, int index, int n) {
+  MDJ_CHECK(n > 0 && index >= 0 && index < n);
+  const int64_t base = t.num_rows() / n, extra = t.num_rows() % n;
+  const int64_t start = index * base + std::min<int64_t>(index, extra);
+  const int64_t len = base + (index < extra ? 1 : 0);
+  Table piece(t.schema());
+  piece.Reserve(len);
+  for (int64_t r = start; r < start + len; ++r) piece.AppendRowFrom(t, r);
+  return piece;
 }
 
 Result<std::vector<Table>> PartitionByColumns(const Table& t,

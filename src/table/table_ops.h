@@ -39,6 +39,7 @@ Result<Table> Concat(const Table& a, const Table& b);
 
 /// Concatenates many tables; at least one required (defines the schema).
 Result<Table> ConcatAll(const std::vector<Table>& tables);
+Result<Table> ConcatAll(const std::vector<const Table*>& tables);
 
 /// New table containing rows of `t` selected by `rows`, in that order.
 Table TakeRows(const Table& t, const std::vector<int64_t>& rows);
@@ -46,6 +47,10 @@ Table TakeRows(const Table& t, const std::vector<int64_t>& rows);
 /// Splits `t` into `n` pieces of near-equal size, preserving order
 /// (Theorem 4.1 partitioning: any partition of B is valid).
 std::vector<Table> PartitionIntoN(const Table& t, int n);
+
+/// Piece `index` of PartitionIntoN(t, n), built alone: the first
+/// `num_rows % n` pieces hold one row more than the rest.
+Table PartitionSlice(const Table& t, int index, int n);
 
 /// Splits `t` into groups of rows sharing values of the named columns
 /// (structural equality: ALL groups with ALL).

@@ -31,7 +31,7 @@ class GeneratorCoverage : public ::testing::Test {
   Result<Table> Run(const std::string& sql) {
     Result<analyze::BoundQuery> bound = analyze::BindQueryString(sql, catalog_);
     if (!bound.ok()) return bound.status();
-    return ExecutePlanCse(bound->plan, catalog_);
+    return ExecutePlan(bound->plan, catalog_);
   }
 
   Table sales_;

@@ -183,15 +183,14 @@ TEST_F(OptimizeDriverTest, CubeRollupOptIn) {
   ASSERT_TRUE(untouched.ok());
   EXPECT_EQ((*untouched)->child(0)->kind(), PlanKind::kCubeBase);
   // Opted in: the driver may expand into per-cuboid roll-up chains (gated by
-  // the cost model); whatever it decides, results are identical under the
-  // CSE executor.
+  // the cost model); whatever it decides, results are identical.
   OptimizeOptions options;
   options.enable_cube_rollup = true;
   OptimizeReport report;
   Result<PlanPtr> optimized = OptimizePlan(plan, catalog_, options, &report);
   ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  Result<Table> before = ExecutePlanCse(plan, catalog_);
-  Result<Table> after = ExecutePlanCse(*optimized, catalog_);
+  Result<Table> before = ExecutePlan(plan, catalog_);
+  Result<Table> after = ExecutePlan(*optimized, catalog_);
   ASSERT_TRUE(before.ok() && after.ok());
   EXPECT_TRUE(TablesEqualUnordered(*before, *after));
 }
@@ -219,7 +218,7 @@ class HavingOrderTest : public ::testing::Test {
   Result<Table> Run(const std::string& sql) {
     Result<analyze::BoundQuery> bound = analyze::BindQueryString(sql, catalog_);
     if (!bound.ok()) return bound.status();
-    return ExecutePlanCse(bound->plan, catalog_);
+    return ExecutePlan(bound->plan, catalog_);
   }
 
   Table sales_;

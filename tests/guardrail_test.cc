@@ -422,8 +422,8 @@ TEST_F(GuardrailTest, ExecutorObservesGuard) {
               std::string::npos);
   }
   {
-    // A hard limit smaller than the materialized detail table trips the
-    // executor's per-node memory accounting.
+    // A hard limit smaller than the MD-join's working state and output trips
+    // the guard's memory accounting.
     QueryGuardOptions guard_options;
     guard_options.memory_hard_limit_bytes = 1024;
     QueryGuard guard(guard_options);
@@ -433,6 +433,35 @@ TEST_F(GuardrailTest, ExecutorObservesGuard) {
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(result.status().IsResourceExhausted()) << result.status().ToString();
   }
+}
+
+TEST_F(GuardrailTest, ExecutorChargesOnlyWhatItMaterializes) {
+  // Catalog tables are read in place: a hard limit below the detail table's
+  // own size but above the query's real footprint (the small MD-join output
+  // and its scan state) must not trip.
+  Table sales = testutil::RandomSales(62, 4000);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
+  Table base = *GroupByBase(sales, {"cust"});
+  ASSERT_TRUE(catalog.Register("Base", &base).ok());
+  PlanPtr plan = MdJoinPlan(TableRef("Base"), TableRef("Sales"),
+                            {Count("n"), Sum(RCol("sale"), "total")}, CustTheta());
+  const int64_t limit = sales.ApproxBytes() / 2;
+  QueryGuardOptions guard_options;
+  guard_options.memory_hard_limit_bytes = limit;
+  QueryGuard guard(guard_options);
+  MdJoinOptions options;
+  options.guard = &guard;
+  ExecStats stats;
+  Result<Table> result = ExecutePlan(plan, catalog, options, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(TablesEqualOrdered(
+      *result, *MdJoin(base, sales, {Count("n"), Sum(RCol("sale"), "total")},
+                       CustTheta())));
+  EXPECT_LT(guard.bytes_high_water(), limit);
+  EXPECT_EQ(guard.bytes_reserved(), 0);
+  // Only the MD-join built rows; both catalog tables were borrowed.
+  EXPECT_EQ(stats.rows_materialized, base.num_rows());
 }
 
 TEST_F(GuardrailTest, IncrementalMaintenanceObservesGuard) {

@@ -39,8 +39,8 @@ class OptimizerTest : public ::testing::Test {
 
   /// Executes both plans and expects identical multisets of rows.
   void ExpectSameResult(const PlanPtr& a, const PlanPtr& b) {
-    Result<Table> ra = ExecutePlanCse(a, catalog_);
-    Result<Table> rb = ExecutePlanCse(b, catalog_);
+    Result<Table> ra = ExecutePlan(a, catalog_);
+    Result<Table> rb = ExecutePlan(b, catalog_);
     ASSERT_TRUE(ra.ok()) << ra.status().ToString() << "\n" << ExplainPlan(a);
     ASSERT_TRUE(rb.ok()) << rb.status().ToString() << "\n" << ExplainPlan(b);
     EXPECT_TRUE(TablesEqualUnordered(*ra, *rb))
@@ -289,8 +289,8 @@ TEST_F(OptimizerTest, ExpandCubeBaseWithRollupsEqualsDirectCube) {
   // With CSE, the detail relation is scanned only by the full cuboid's
   // MD-join; every other cuboid reads a finer cuboid's (smaller) output.
   ExecStats direct_stats, rolled_stats;
-  ASSERT_TRUE(ExecutePlanCse(cube, catalog_, {}, &direct_stats).ok());
-  ASSERT_TRUE(ExecutePlanCse(*rolled, catalog_, {}, &rolled_stats).ok());
+  ASSERT_TRUE(ExecutePlan(cube, catalog_, {}, &direct_stats).ok());
+  ASSERT_TRUE(ExecutePlan(*rolled, catalog_, {}, &rolled_stats).ok());
   EXPECT_GT(rolled_stats.cse_hits, 0);
 }
 

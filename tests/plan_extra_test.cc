@@ -1,6 +1,7 @@
 /// Plan-IR plumbing not covered by the rule tests: the Sort node, schema
-/// inference corner cases, CloneWithChildren, executor CSE behavior, cost
-/// estimates per node kind, and explain-label rendering.
+/// inference corner cases, CloneWithChildren, the executor walk (CSE, shared
+/// profile leaves, borrowed tables, partition slices), cost estimates per
+/// node kind, and explain-label rendering.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,10 @@
 #include "optimizer/cost.h"
 #include "optimizer/executor.h"
 #include "optimizer/plan.h"
+#include "ra/filter.h"
+#include "ra/join.h"
+#include "ra/project.h"
+#include "stats/feedback.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
 
@@ -57,19 +62,25 @@ TEST_F(PlanExtraTest, CloneWithChildrenPreservesPayload) {
   EXPECT_EQ(sort->Label(), sort_clone->Label());
 }
 
+/// The distinct-customers subquery, built by calling the operators directly.
+Table DistinctCusts(const Table& sales) {
+  return Distinct(*Project(sales, {{Col("cust"), "cust"}}));
+}
+
 TEST_F(PlanExtraTest, CseReusesIdenticalSubtrees) {
   // The same expensive subquery (distinct customers) used on both sides of
   // a join: CSE must evaluate it once.
   PlanPtr dist = DistinctPlan(ProjectPlan(TableRef("sales"), {{Col("cust"), "cust"}}));
   PlanPtr join = HashJoinPlan(dist, dist, {"cust"}, {"cust"});
-  ExecStats plain_stats, cse_stats;
-  Result<Table> plain = ExecutePlan(join, catalog_, {}, &plain_stats);
-  Result<Table> cse = ExecutePlanCse(join, catalog_, {}, &cse_stats);
-  ASSERT_TRUE(plain.ok() && cse.ok());
-  EXPECT_TRUE(TablesEqualUnordered(*plain, *cse));
-  EXPECT_EQ(plain_stats.cse_hits, 0);
-  EXPECT_EQ(cse_stats.cse_hits, 1);
-  EXPECT_LT(cse_stats.nodes_executed, plain_stats.nodes_executed);
+  ExecStats stats;
+  Result<Table> out = ExecutePlan(join, catalog_, {}, &stats);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  Table custs = DistinctCusts(sales_);
+  Table expected = *HashJoin(custs, custs, {"cust"}, {"cust"});
+  EXPECT_TRUE(TablesEqualOrdered(*out, expected));
+  EXPECT_EQ(stats.cse_hits, 1);
+  // HashJoin, Distinct, Project, TableRef; the second Distinct is shared.
+  EXPECT_EQ(stats.nodes_executed, 4);
 }
 
 TEST_F(PlanExtraTest, CseDistinguishesDifferentPayloads) {
@@ -77,10 +88,101 @@ TEST_F(PlanExtraTest, CseDistinguishesDifferentPayloads) {
   PlanPtr f2 = FilterPlan(TableRef("sales"), Eq(Col("state"), Lit("NJ")));
   PlanPtr join = HashJoinPlan(f1, f2, {"cust"}, {"cust"});
   ExecStats stats;
-  Result<Table> out = ExecutePlanCse(join, catalog_, {}, &stats);
+  Result<Table> out = ExecutePlan(join, catalog_, {}, &stats);
   ASSERT_TRUE(out.ok());
-  // Only the shared TableRef(sales) leaf is reused.
+  Table expected = *HashJoin(*Filter(sales_, Eq(Col("state"), Lit("NY"))),
+                             *Filter(sales_, Eq(Col("state"), Lit("NJ"))), {"cust"},
+                             {"cust"});
+  EXPECT_TRUE(TablesEqualOrdered(*out, expected));
+  // The filters differ; the shared TableRef(sales) leaf is borrowed from the
+  // catalog, never memoized.
+  EXPECT_EQ(stats.cse_hits, 0);
+}
+
+TEST_F(PlanExtraTest, ExplainAnalyzeMarksSharedSubtree) {
+  PlanPtr dist = DistinctPlan(ProjectPlan(TableRef("sales"), {{Col("cust"), "cust"}}));
+  PlanPtr plan = MdJoinPlan(HashJoinPlan(dist, dist, {"cust"}, {"cust"}),
+                            TableRef("sales"), {Count("n")},
+                            Eq(RCol("cust"), BCol("cust")));
+  FeedbackStore feedback;
+  MdJoinOptions options;
+  options.feedback = &feedback;
+  QueryProfile profile;
+  ExecStats stats;
+  Result<Table> out = ExplainAnalyze(plan, catalog_, options, &profile, &stats);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  Table custs = DistinctCusts(sales_);
+  Table expected = *MdJoin(*HashJoin(custs, custs, {"cust"}, {"cust"}), sales_,
+                           {Count("n")}, Eq(RCol("cust"), BCol("cust")));
+  EXPECT_TRUE(TablesEqualOrdered(*out, expected));
   EXPECT_EQ(stats.cse_hits, 1);
+  // MdJoin → HashJoin → {Distinct (evaluated), Distinct (shared leaf)}.
+  const OperatorProfile& join = *profile.root->children[0];
+  ASSERT_EQ(join.children.size(), 2u);
+  EXPECT_FALSE(join.children[0]->shared);
+  EXPECT_EQ(join.children[0]->children.size(), 1u);
+  EXPECT_TRUE(join.children[1]->shared);
+  EXPECT_TRUE(join.children[1]->children.empty());
+  EXPECT_EQ(join.children[1]->output_rows, custs.num_rows());
+  EXPECT_NE(profile.ToText().find(" shared"), std::string::npos);
+  EXPECT_NE(profile.ToJson().find("\"shared\": true"), std::string::npos);
+  // The shared occurrence harvests no second observation.
+  std::optional<FeedbackEntry> entry = feedback.Lookup(PlanFingerprint(dist));
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->observations, 1);
+}
+
+TEST_F(PlanExtraTest, ExecutePlanAndExplainAnalyzeFillEqualStats) {
+  PlanPtr dist = DistinctPlan(ProjectPlan(TableRef("sales"), {{Col("cust"), "cust"}}));
+  PlanPtr plan = UnionPlan(
+      {MdJoinPlan(dist, FilterPlan(TableRef("sales"), Gt(Col("sale"), Lit(10))),
+                  {Count("n")}, Eq(RCol("cust"), BCol("cust"))),
+       MdJoinPlan(dist, TableRef("sales"), {Count("n")},
+                  Eq(RCol("cust"), BCol("cust")))});
+  ExecStats plain, analyzed;
+  Result<Table> a = ExecutePlan(plan, catalog_, {}, &plain);
+  QueryProfile profile;
+  Result<Table> b = ExplainAnalyze(plan, catalog_, {}, &profile, &analyzed);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_TRUE(TablesEqualOrdered(*a, *b));
+  EXPECT_EQ(plain.nodes_executed, analyzed.nodes_executed);
+  EXPECT_EQ(plain.detail_rows_scanned, analyzed.detail_rows_scanned);
+  EXPECT_EQ(plain.candidate_pairs, analyzed.candidate_pairs);
+  EXPECT_EQ(plain.matched_pairs, analyzed.matched_pairs);
+  EXPECT_EQ(plain.mdjoin_operators, analyzed.mdjoin_operators);
+  EXPECT_EQ(plain.rows_materialized, analyzed.rows_materialized);
+  EXPECT_EQ(plain.cse_hits, analyzed.cse_hits);
+  EXPECT_EQ(plain.blocks_read, analyzed.blocks_read);
+  EXPECT_EQ(plain.spill_bytes, analyzed.spill_bytes);
+  EXPECT_EQ(plain.mdjoin_operators, 2);
+  EXPECT_EQ(plain.cse_hits, 1);
+  const Table filtered = *Filter(sales_, Gt(Col("sale"), Lit(10)));
+  EXPECT_EQ(plain.detail_rows_scanned, filtered.num_rows() + sales_.num_rows());
+}
+
+TEST_F(PlanExtraTest, TableRefReturnsTheCatalogTable) {
+  ExecStats stats;
+  Result<Table> out = ExecutePlan(TableRef("sales"), catalog_, {}, &stats);
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(TablesEqualOrdered(*out, sales_));
+  EXPECT_EQ(stats.nodes_executed, 1);
+  EXPECT_EQ(stats.rows_materialized, 0);  // read in place, copied once for the caller
+}
+
+TEST_F(PlanExtraTest, PartitionSlicesConcatenateToTheChild) {
+  for (int n : {1, 3, 7}) {
+    std::vector<Table> slices;
+    for (int i = 0; i < n; ++i) {
+      Result<Table> slice = ExecutePlan(PartitionPlan(TableRef("sales"), i, n), catalog_);
+      ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+      EXPECT_TRUE(TablesEqualOrdered(*slice, PartitionIntoN(sales_, n)[i]))
+          << "slice " << i << " of " << n;
+      slices.push_back(std::move(*slice));
+    }
+    Result<Table> rejoined = ConcatAll(slices);
+    ASSERT_TRUE(rejoined.ok());
+    EXPECT_TRUE(TablesEqualOrdered(*rejoined, sales_)) << "n=" << n;
+  }
 }
 
 TEST_F(PlanExtraTest, CostCoversEveryNodeKind) {
@@ -113,14 +215,15 @@ TEST_F(PlanExtraTest, ProfiledExecutionMatchesPlainAndRecordsTree) {
   PlanPtr base = DistinctPlan(ProjectPlan(TableRef("sales"), {{Col("cust"), "cust"}}));
   PlanPtr plan = MdJoinPlan(base, TableRef("sales"), {Count("n")},
                             Eq(RCol("cust"), BCol("cust")));
-  Result<ProfiledResult> profiled = ExecutePlanProfiled(plan, catalog_);
+  QueryProfile profile;
+  Result<Table> profiled = ExplainAnalyze(plan, catalog_, {}, &profile);
   ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
   Result<Table> plain = ExecutePlan(plan, catalog_);
   ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(TablesEqualOrdered(profiled->table, *plain));
+  EXPECT_TRUE(TablesEqualOrdered(*profiled, *plain));
   // The profile tree mirrors the plan tree.
-  ASSERT_NE(profiled->profile.root, nullptr);
-  const OperatorProfile& root = *profiled->profile.root;
+  ASSERT_NE(profile.root, nullptr);
+  const OperatorProfile& root = *profile.root;
   EXPECT_NE(root.label.find("MdJoin"), std::string::npos);
   EXPECT_EQ(root.output_rows, plain->num_rows());
   ASSERT_EQ(root.children.size(), 2u);  // base subtree + detail TableRef
@@ -132,10 +235,10 @@ TEST_F(PlanExtraTest, ProfiledExecutionMatchesPlainAndRecordsTree) {
   EXPECT_TRUE(root.is_mdjoin);
   EXPECT_GT(root.detail_rows_scanned, 0);
   EXPECT_GT(root.matched_pairs, 0);
-  EXPECT_TRUE(profiled->profile.complete);
-  EXPECT_EQ(profiled->profile.terminal, "ok");
+  EXPECT_TRUE(profile.complete);
+  EXPECT_EQ(profile.terminal, "ok");
   // Rendering contains every operator.
-  std::string text = profiled->ToString();
+  std::string text = profile.ToText();
   EXPECT_NE(text.find("MdJoin"), std::string::npos);
   EXPECT_NE(text.find("Distinct"), std::string::npos);
   EXPECT_NE(text.find("rows="), std::string::npos);

@@ -528,7 +528,7 @@ TEST_F(ServerTest, ServiceExecutesCachesAndCountsHits) {
 }
 
 TEST_F(ServerTest, PagedQueryRecordsBlocksReadWithoutFeedback) {
-  // The plain (CSE) engine path must carry the paged scan's block counters
+  // The unprofiled engine path must carry the paged scan's block counters
   // into the query record, not only the profiled collect_feedback path.
   Table big = testutil::RandomSales(17, 300);
   const std::string path = std::filesystem::temp_directory_path().string() +
@@ -592,7 +592,7 @@ TEST_F(ServerTest, ServiceRollupHitServesCoarserFromCachedFiner) {
   EXPECT_LT(coarse->stats.exec.detail_rows_scanned, sales_.num_rows());
 
   // Identical to a fresh full execution.
-  Result<Table> fresh = ExecutePlanCse(CuboidQuery(0b01), catalog_);
+  Result<Table> fresh = ExecutePlan(CuboidQuery(0b01), catalog_);
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(TablesEqualOrdered(*coarse->table, *fresh))
       << "rollup:\n" << coarse->table->ToString() << "fresh:\n" << fresh->ToString();
@@ -606,7 +606,7 @@ TEST_F(ServerTest, ServiceRollupHitServesCoarserFromCachedFiner) {
 TEST_F(ServerTest, RollupServedResultBitIdenticalAcrossThreadCounts) {
   // Satellite: the cached-rollup path must be bit-identical to fresh
   // execution whatever the engine parallelism (run under `ctest -L tsan`).
-  Result<Table> fresh = ExecutePlanCse(CuboidQuery(0b01), catalog_);
+  Result<Table> fresh = ExecutePlan(CuboidQuery(0b01), catalog_);
   ASSERT_TRUE(fresh.ok());
   for (int threads : {1, 2, 4}) {
     QueryServiceOptions opt;
@@ -729,7 +729,7 @@ TEST_F(ServerTest, ServiceOverloadShedsButNeverWedges) {
   opt.cache_capacity_bytes = 0;  // force real engine work per query
   QueryService service(catalog_, opt);
 
-  Result<Table> expected = ExecutePlanCse(CuboidQuery(0b11), catalog_);
+  Result<Table> expected = ExecutePlan(CuboidQuery(0b11), catalog_);
   ASSERT_TRUE(expected.ok());
 
   constexpr int kClients = 8;
@@ -774,8 +774,8 @@ TEST_F(ServerTest, ConcurrentSessionsShareCacheCorrectly) {
   // hits, and roll-up hits each one observes, every returned table must be
   // identical to fresh execution (run under `ctest -L tsan`).
   QueryService service(catalog_);
-  Result<Table> fresh_fine = ExecutePlanCse(CuboidQuery(0b11), catalog_);
-  Result<Table> fresh_coarse = ExecutePlanCse(CuboidQuery(0b01), catalog_);
+  Result<Table> fresh_fine = ExecutePlan(CuboidQuery(0b11), catalog_);
+  Result<Table> fresh_coarse = ExecutePlan(CuboidQuery(0b01), catalog_);
   ASSERT_TRUE(fresh_fine.ok() && fresh_coarse.ok());
 
   constexpr int kClients = 6;

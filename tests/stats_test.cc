@@ -336,7 +336,7 @@ TEST(StatsCostTest, ResultsIdenticalWithAndWithoutStats) {
   ASSERT_TRUE(plain.Register("Sales", &sales).ok());
   Result<PlanPtr> optimized_plain = OptimizePlan(plan, plain);
   ASSERT_TRUE(optimized_plain.ok());
-  Result<Table> result_plain = ExecutePlanCse(*optimized_plain, plain);
+  Result<Table> result_plain = ExecutePlan(*optimized_plain, plain);
   ASSERT_TRUE(result_plain.ok());
 
   Catalog with_stats;
@@ -346,7 +346,7 @@ TEST(StatsCostTest, ResultsIdenticalWithAndWithoutStats) {
   ASSERT_TRUE(with_stats.RegisterStats("Sales", &*stats).ok());
   Result<PlanPtr> optimized_stats = OptimizePlan(plan, with_stats);
   ASSERT_TRUE(optimized_stats.ok());
-  Result<Table> result_stats = ExecutePlanCse(*optimized_stats, with_stats);
+  Result<Table> result_stats = ExecutePlan(*optimized_stats, with_stats);
   ASSERT_TRUE(result_stats.ok());
 
   // Statistics are advisory: plan choices may differ, results may not.
@@ -485,8 +485,8 @@ TEST(OptimizerStatsTest, SplitRuleIsOptInAndRecorded) {
   }
   EXPECT_TRUE(saw_split);
   // Whatever the cost model decided, results are unchanged.
-  Result<Table> before = ExecutePlanCse(plan, catalog);
-  Result<Table> after = ExecutePlanCse(*optimized, catalog);
+  Result<Table> before = ExecutePlan(plan, catalog);
+  Result<Table> after = ExecutePlan(*optimized, catalog);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(TablesEqualUnordered(*before, *after));
