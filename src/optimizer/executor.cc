@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <ctime>
+#include <unordered_map>
 
 #include "analyze/plan_invariants.h"
 #include "common/failpoint.h"
@@ -49,17 +50,21 @@ double ThreadCpuMs() {
   return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
-/// Charges a freshly materialized node output against the guard's memory
-/// accountant. The reservation is transient (released immediately): results
-/// are shared up the tree rather than owned by the guard, so this checks each
-/// materialization against the hard limit and feeds the high-water counter
-/// without double-charging long-lived results.
-Status AccountMaterialization(const MdJoinOptions& md_options, const Table& t) {
-  if (md_options.guard == nullptr) return Status::OK();
-  const int64_t bytes = t.ApproxBytes();
-  MDJ_RETURN_NOT_OK(md_options.guard->ReserveBytes(bytes, "materialized node output"));
-  md_options.guard->ReleaseBytes(bytes);
-  return Status::OK();
+/// The paged catalog table an MD-join node reads in detail position —
+/// directly or under detail Filters, whose predicates land in `filters` — or
+/// null when `plan` is no MD-join or its detail child is materialized. A
+/// paged detail child is never evaluated: its blocks stream through the join.
+const PagedTable* PagedDetail(const PlanPtr& plan, const Catalog& catalog,
+                              std::vector<ExprPtr>* filters) {
+  if (plan->kind() != PlanKind::kMdJoin && plan->kind() != PlanKind::kGeneralizedMdJoin) {
+    return nullptr;
+  }
+  PlanPtr d = plan->child(1);
+  while (d->kind() == PlanKind::kFilter && !d->predicate->ReferencesSide(Side::kBase)) {
+    filters->push_back(d->predicate);
+    d = d->child(0);
+  }
+  return d->kind() == PlanKind::kTableRef ? catalog.FindPaged(d->table_name) : nullptr;
 }
 
 /// Copies one MD-join evaluation's counters into its operator profile.
@@ -113,10 +118,12 @@ void FoldStats(const OperatorProfile& node, ExecStats* stats) {
 }
 
 /// The executor's one walk, behind ExecutePlan and ExplainAnalyze (contract
-/// in executor.h). CSE state: the number of occurrences of each non-leaf
-/// subtree, keyed by ExplainPlan, and the result of those occurring twice or
-/// more until their last occurrence takes it. Leaves are never memoized: a
-/// TableRef is borrowed and an EmptyRef is free.
+/// in executor.h). CSE state: the number of evaluated occurrences of each
+/// non-leaf plan node, and the result of those occurring twice or more until
+/// their last occurrence takes it. A repeated subtree is one node reached
+/// along several paths (rewrites such as ExpandCubeBaseWithRollups splice one
+/// PlanPtr into every use), so the memo is keyed by node identity. Leaves are
+/// never memoized: a TableRef is borrowed and an EmptyRef is free.
 class PlanWalk {
  public:
   PlanWalk(const PlanPtr& plan, const Catalog& catalog, const MdJoinOptions& md_options)
@@ -142,11 +149,13 @@ class PlanWalk {
     node->label = plan->Label();
     parent->children.push_back(std::move(owned));
 
-    MemoEntry* memo = plan->children().empty() ? nullptr : &memo_.at(ExplainPlan(plan));
+    MemoEntry* memo = plan->children().empty() ? nullptr : &memo_.at(plan.get());
     if (memo != nullptr && memo->result != nullptr) {
       node->shared = true;
       node->output_rows = memo->result->num_rows();
-      return --memo->uses_left == 0 ? std::move(memo->result) : memo->result;
+      if (--memo->uses_left > 0) return memo->result;
+      memo->charge.Release();
+      return std::move(memo->result);
     }
 
     const auto start = std::chrono::steady_clock::now();
@@ -164,114 +173,103 @@ class PlanWalk {
     const Table& out = **result;
     node->output_rows = out.num_rows();
     node_span.SetArg("rows", node->output_rows);
-    if (!node->borrowed) MDJ_RETURN_NOT_OK(AccountMaterialization(md_options_, out));
-    if (memo != nullptr && --memo->uses_left > 0) memo->result = *result;
+    // A built table is charged to the guard: transiently when it is only
+    // passed up the tree (so the tree's tables are not double-charged), and
+    // while the memo holds it for a later occurrence.
+    const bool hold = memo != nullptr && --memo->uses_left > 0;
+    ScopedReservation transient;
+    ScopedReservation& charge = hold ? memo->charge : transient;
+    if (!node->borrowed && md_options_.guard != nullptr) {
+      MDJ_RETURN_NOT_OK(charge.Reserve(md_options_.guard, out.ApproxBytes(),
+                                       "materialized node output"));
+    }
+    if (hold) memo->result = *result;
     return result;
   }
 
  private:
   struct MemoEntry {
-    int uses_left = 0;  // occurrences in the plan not yet served
-    NodeResult result;  // set while a repeated subtree has occurrences left
+    int uses_left = 0;         // occurrences in the plan not yet served
+    NodeResult result;         // set while a repeated subtree has occurrences left
+    ScopedReservation charge;  // the guard's charge for `result`
   };
 
+  /// Counts the occurrences Run will visit: a repeated subtree is evaluated
+  /// at its first occurrence only, so its descendants are counted once, and
+  /// a paged MD-join detail child is never evaluated.
   void CountSubtrees(const PlanPtr& plan) {
     if (plan->children().empty()) return;
-    ++memo_[ExplainPlan(plan)].uses_left;
-    for (const PlanPtr& c : plan->children()) CountSubtrees(c);
+    if (++memo_[plan.get()].uses_left > 1) return;
+    std::vector<ExprPtr> filters;
+    const bool streamed = PagedDetail(plan, catalog_, &filters) != nullptr;
+    for (size_t i = 0; i < plan->children().size(); ++i) {
+      if (i != 1 || !streamed) CountSubtrees(plan->child(static_cast<int>(i)));
+    }
   }
 
   Result<NodeResult> Eval(const PlanPtr& plan, OperatorProfile* profile);
 
   const Catalog& catalog_;
   const MdJoinOptions& md_options_;
-  std::unordered_map<std::string, MemoEntry> memo_;
+  std::unordered_map<const PlanNode*, MemoEntry> memo_;
 };
 
 Result<NodeResult> PlanWalk::Eval(const PlanPtr& plan, OperatorProfile* profile) {
+  // Children first, in order. A paged catalog reference in MD-join detail
+  // position — directly or under detail Filters — is never materialized
+  // (its slot stays null): each Filter folds into every θ (Theorem 4.2 read
+  // right to left: MD(B, σ_p R, l, θ) = MD(B, R, l, θ ∧ p)), so the blocks
+  // stream through zone-map pruning and the block cache.
+  std::vector<ExprPtr> detail_filters;
+  const PagedTable* paged = PagedDetail(plan, catalog_, &detail_filters);
+  std::vector<NodeResult> in(plan->children().size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    if (i == 1 && paged != nullptr) continue;
+    MDJ_ASSIGN_OR_RETURN(in[i], Run(plan->child(static_cast<int>(i)), profile));
+  }
   switch (plan->kind()) {
     case PlanKind::kTableRef: {
       // Paged relation consumed outside an MD-join detail position (the one
       // place with a block-at-a-time path): materialize it whole, charged to
       // the guard while assembling. Correct for every operator, just not
       // out-of-core — the planner keeps paged tables in detail position.
-      if (const PagedTable* paged = catalog_.FindPaged(plan->table_name)) {
-        return Own(paged->ReadAll(md_options_.guard));
+      if (const PagedTable* whole = catalog_.FindPaged(plan->table_name)) {
+        return Own(whole->ReadAll(md_options_.guard));
       }
       MDJ_ASSIGN_OR_RETURN(const Table* t, catalog_.Lookup(plan->table_name));
       profile->borrowed = true;
       return NodeResult(NodeResult(), t);  // aliasing, no owner: borrowed
     }
-    case PlanKind::kFilter: {
-      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
-      return Own(Filter(*child, plan->predicate));
-    }
-    case PlanKind::kProject: {
-      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
-      return Own(Project(*child, plan->projections));
-    }
-    case PlanKind::kDistinct: {
-      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
-      return Own(Distinct(*child));
-    }
+    case PlanKind::kFilter:
+      return Own(Filter(*in[0], plan->predicate));
+    case PlanKind::kProject:
+      return Own(Project(*in[0], plan->projections));
+    case PlanKind::kDistinct:
+      return Own(Distinct(*in[0]));
     case PlanKind::kUnion: {
-      std::vector<NodeResult> pieces;
       std::vector<const Table*> tables;
-      for (const PlanPtr& c : plan->children()) {
-        MDJ_ASSIGN_OR_RETURN(NodeResult piece, Run(c, profile));
-        tables.push_back(piece.get());
-        pieces.push_back(std::move(piece));
-      }
+      for (const NodeResult& piece : in) tables.push_back(piece.get());
       return Own(ConcatAll(tables));
     }
-    case PlanKind::kPartition: {
-      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
-      return Own(PartitionSlice(*child, plan->partition_index, plan->partition_count));
-    }
-    case PlanKind::kHashJoin: {
-      MDJ_ASSIGN_OR_RETURN(NodeResult left, Run(plan->child(0), profile));
-      MDJ_ASSIGN_OR_RETURN(NodeResult right, Run(plan->child(1), profile));
+    case PlanKind::kPartition:
+      return Own(PartitionSlice(*in[0], plan->partition_index, plan->partition_count));
+    case PlanKind::kHashJoin:
       return Own(
-          HashJoin(*left, *right, plan->left_keys, plan->right_keys, plan->join_type));
-    }
-    case PlanKind::kGroupBy: {
-      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
-      return Own(GroupBy(*child, plan->group_columns, plan->aggs));
-    }
+          HashJoin(*in[0], *in[1], plan->left_keys, plan->right_keys, plan->join_type));
+    case PlanKind::kGroupBy:
+      return Own(GroupBy(*in[0], plan->group_columns, plan->aggs));
     case PlanKind::kMdJoin:
     case PlanKind::kGeneralizedMdJoin: {
       const bool single = plan->kind() == PlanKind::kMdJoin;
       std::vector<MdJoinComponent> components =
           single ? std::vector<MdJoinComponent>{{plan->aggs, plan->theta}}
                  : plan->components;
-      MDJ_ASSIGN_OR_RETURN(NodeResult base, Run(plan->child(0), profile));
-      // Out-of-core: a paged catalog reference in detail position — directly
-      // or under detail Filters — is never materialized. Each Filter folds
-      // into every θ (Theorem 4.2 read right to left: MD(B, σ_p R, l, θ) =
-      // MD(B, R, l, θ ∧ p)), so the blocks stream through zone-map pruning
-      // and the block cache.
-      const PagedTable* paged = nullptr;
-      {
-        std::vector<ExprPtr> filters;
-        PlanPtr d = plan->child(1);
-        while (d->kind() == PlanKind::kFilter &&
-               !d->predicate->ReferencesSide(Side::kBase)) {
-          filters.push_back(d->predicate);
-          d = d->child(0);
-        }
-        if (d->kind() == PlanKind::kTableRef) paged = catalog_.FindPaged(d->table_name);
-        if (paged != nullptr) {
-          for (MdJoinComponent& comp : components) {
-            for (const ExprPtr& p : filters) {
-              comp.theta = Expr::Binary(BinaryOp::kAnd, comp.theta, p);
-            }
-          }
+      for (MdJoinComponent& comp : components) {
+        for (const ExprPtr& p : detail_filters) {
+          comp.theta = Expr::Binary(BinaryOp::kAnd, comp.theta, p);
         }
       }
-      NodeResult detail;  // the materialized detail child; null when paged
-      if (paged == nullptr) {
-        MDJ_ASSIGN_OR_RETURN(detail, Run(plan->child(1), profile));
-      }
+      const Table& base = *in[0];
       // The partitioned-spill escape hatch serves single MD-joins; a
       // generalized node under memory pressure degrades to more passes.
       MdJoinStats md_stats;
@@ -279,16 +277,15 @@ Result<NodeResult> PlanWalk::Eval(const PlanPtr& plan, OperatorProfile* profile)
         if (md_options_.enable_spill && single) {
           const MdJoinComponent& c = components[0];
           return paged != nullptr
-                     ? PagedMdJoin(*base, *paged, c.aggs, c.theta, md_options_, &md_stats)
-                     : SpillMdJoin(*base, *detail, c.aggs, c.theta, md_options_,
-                                   &md_stats);
+                     ? PagedMdJoin(base, *paged, c.aggs, c.theta, md_options_, &md_stats)
+                     : SpillMdJoin(base, *in[1], c.aggs, c.theta, md_options_, &md_stats);
         }
         const char* op = PlanKindToString(plan->kind());
         if (paged != nullptr) {
-          return RunMdJoin(op, *base, PagedSource(*paged, components, md_options_),
+          return RunMdJoin(op, base, PagedSource(*paged, components, md_options_),
                            components, md_options_, &md_stats);
         }
-        return RunMdJoin(op, *base, DetailSource(*detail), components, md_options_,
+        return RunMdJoin(op, base, DetailSource(*in[1]), components, md_options_,
                          &md_stats);
       };
       Result<Table> out = run();
@@ -297,24 +294,20 @@ Result<NodeResult> PlanWalk::Eval(const PlanPtr& plan, OperatorProfile* profile)
       FillMdJoinProfile(profile, md_stats, components);
       return Own(std::move(out));
     }
-    case PlanKind::kCubeBase: {
-      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
-      return Own(CubeByBase(*child, plan->cube_dims));
-    }
+    case PlanKind::kCubeBase:
+      return Own(CubeByBase(*in[0], plan->cube_dims));
     case PlanKind::kSort: {
-      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
       MDJ_ASSIGN_OR_RETURN(std::vector<int> cols,
-                           ResolveColumns(child->schema(), plan->sort_columns));
+                           ResolveColumns(in[0]->schema(), plan->sort_columns));
       std::vector<SortKey> keys;
       for (size_t i = 0; i < cols.size(); ++i) {
         keys.push_back({cols[i], plan->sort_ascending[i]});
       }
-      return Own(SortTable(*child, keys));
+      return Own(SortTable(*in[0], keys));
     }
     case PlanKind::kCuboidBase: {
-      MDJ_ASSIGN_OR_RETURN(NodeResult child, Run(plan->child(0), profile));
       MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(plan->cube_dims));
-      return Own(CuboidBase(*child, lattice, plan->cuboid_mask));
+      return Own(CuboidBase(*in[0], lattice, plan->cuboid_mask));
     }
     case PlanKind::kEmptyRef: {
       if (plan->empty_schema == nullptr) {

@@ -28,12 +28,15 @@ struct ExecStats {
 /// which is read in place. MD-join nodes run with `md_options`.
 ///
 /// Common-subexpression elimination is always on (the paper: "usually
-/// optimizers perform common subexpression elimination"): a non-leaf subtree
-/// whose ExplainPlan rendering occurs more than once in the plan — say the
-/// finer cuboid that feeds several coarser ones in a Theorem 4.5 chain
-/// (ExpandCubeBaseWithRollups) — is evaluated once and its result shared by
-/// every occurrence; `stats->cse_hits` counts the reuses. Only the returned
-/// root is ever copied, and only when it is a catalog table.
+/// optimizers perform common subexpression elimination"): a non-leaf plan
+/// node reached along more than one path — say the finer cuboid that feeds
+/// several coarser ones in a Theorem 4.5 chain, which
+/// ExpandCubeBaseWithRollups splices into every use — is evaluated once and
+/// its result shared by every occurrence; `stats->cse_hits` counts the
+/// reuses. Equal but separately built subtrees are evaluated separately.
+/// With a guard, a shared result stays charged to it until its last
+/// occurrence. Only the returned root is ever copied, and only when it is a
+/// catalog table.
 Result<Table> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                           const MdJoinOptions& md_options = {},
                           ExecStats* stats = nullptr);

@@ -567,6 +567,46 @@ TEST(OutOfCoreTest, FilterOverPagedDetailStreamsThroughZoneMaps) {
   EXPECT_EQ(md->blocks_read + md->blocks_pruned, paged.table().num_blocks());
 }
 
+TEST(OutOfCoreTest, FilterSharedWithPagedDetailIsNotHeld) {
+  // One Filter node feeds the base (materialized) and the detail (streamed,
+  // never evaluated) of an MD-join. It is evaluated once, so the walk must
+  // not hold its result for a second use: the guard's high water equals that
+  // of the same plan built with two separate Filter nodes. The Filter keeps
+  // every row, so a held copy would show above the whole-file read.
+  Table sales = testutil::RandomSales(37, 256);
+  PagedFixture paged(sales, 32, "shared_filter");
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("SalesMem", &sales).ok());
+  ASSERT_TRUE(RegisterPagedTable(&catalog, "Sales", paged.table()).ok());
+  auto filtered = [](const char* table) {
+    return FilterPlan(TableRef(table), Ge(Col("month"), Lit(1)));
+  };
+  auto make_plan = [](const PlanPtr& for_base, const PlanPtr& for_detail) {
+    return MdJoinPlan(DistinctPlan(ProjectPlan(for_base, {{Col("cust"), "cust"}})),
+                      for_detail, {Count("n"), Sum(RCol("sale"), "total")},
+                      Eq(RCol("cust"), BCol("cust")));
+  };
+  const PlanPtr one = filtered("Sales");
+  int64_t high_water[2] = {0, 0};
+  for (int separate = 0; separate < 2; ++separate) {
+    QueryGuard guard;
+    MdJoinOptions md;
+    md.guard = &guard;
+    ExecStats stats;
+    Result<Table> got = ExecutePlan(
+        make_plan(one, separate != 0 ? filtered("Sales") : one), catalog, md, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    Result<Table> expect =
+        ExecutePlan(make_plan(filtered("SalesMem"), filtered("SalesMem")), catalog);
+    ASSERT_TRUE(expect.ok());
+    EXPECT_TRUE(TablesBitIdentical(*expect, *got));
+    EXPECT_EQ(stats.cse_hits, 0);
+    EXPECT_EQ(guard.bytes_reserved(), 0);
+    high_water[separate] = guard.bytes_high_water();
+  }
+  EXPECT_EQ(high_water[0], high_water[1]);
+}
+
 TEST(OutOfCoreTest, CatalogRejectsDuplicateNamesAcrossKinds) {
   Table sales = testutil::SmallSales();
   PagedFixture paged(sales, 4, "dupe");

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/query_guard.h"
 #include "expr/conjuncts.h"
 #include "optimizer/cost.h"
 #include "optimizer/executor.h"
@@ -97,6 +100,50 @@ TEST_F(PlanExtraTest, CseDistinguishesDifferentPayloads) {
   // The filters differ; the shared TableRef(sales) leaf is borrowed from the
   // catalog, never memoized.
   EXPECT_EQ(stats.cse_hits, 0);
+}
+
+TEST_F(PlanExtraTest, CseKeysOnTheNodeNotItsRendering) {
+  // Two different projections with the same output name over one child: the
+  // labels render alike, but the nodes differ and so must their results.
+  PlanPtr plan = UnionPlan({ProjectPlan(TableRef("sales"), {{Col("cust"), "k"}}),
+                            ProjectPlan(TableRef("sales"), {{Col("prod"), "k"}})});
+  ExecStats stats;
+  Result<Table> out = ExecutePlan(plan, catalog_, {}, &stats);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  Table custs = *Project(sales_, {{Col("cust"), "k"}});
+  Table prods = *Project(sales_, {{Col("prod"), "k"}});
+  Result<Table> expected = ConcatAll(std::vector<const Table*>{&custs, &prods});
+  EXPECT_TRUE(TablesEqualOrdered(*out, *expected));
+  EXPECT_EQ(stats.cse_hits, 0);
+}
+
+TEST_F(PlanExtraTest, CseChargesHeldResultsAndReleasesNestedOnes) {
+  // dist occurs twice. Its Project child is evaluated once, at dist's first
+  // occurrence, so it is never held. dist's own result is held, and charged
+  // to the guard, from its first occurrence while `prods` is built until its
+  // second occurrence takes it.
+  PlanPtr dist = DistinctPlan(ProjectPlan(TableRef("sales"), {{Col("cust"), "cust"}}));
+  PlanPtr prods_plan = ProjectPlan(TableRef("sales"), {{Col("prod"), "cust"}});
+  PlanPtr inner_plan = HashJoinPlan(prods_plan, dist, {"cust"}, {"cust"});
+  PlanPtr plan = HashJoinPlan(dist, inner_plan, {"cust"}, {"cust"});
+  QueryGuard guard;
+  MdJoinOptions options;
+  options.guard = &guard;
+  ExecStats stats;
+  Result<Table> out = ExecutePlan(plan, catalog_, options, &stats);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(stats.cse_hits, 1);
+
+  const Table custs_all = *Project(sales_, {{Col("cust"), "cust"}});
+  const Table custs = Distinct(custs_all);
+  const Table prods = *Project(sales_, {{Col("prod"), "cust"}});
+  const Table inner = *HashJoin(prods, custs, {"cust"}, {"cust"});
+  const Table expected = *HashJoin(custs, inner, {"cust"}, {"cust"});
+  EXPECT_TRUE(TablesEqualOrdered(*out, expected));
+  EXPECT_EQ(guard.bytes_high_water(),
+            std::max({custs_all.ApproxBytes(), custs.ApproxBytes() + prods.ApproxBytes(),
+                      inner.ApproxBytes(), expected.ApproxBytes()}));
+  EXPECT_EQ(guard.bytes_reserved(), 0);
 }
 
 TEST_F(PlanExtraTest, ExplainAnalyzeMarksSharedSubtree) {
