@@ -42,7 +42,7 @@ struct BoundAgg {
 
   /// When the argument is a plain detail-column reference, its column index;
   /// -1 otherwise. The vectorized scan reads the cell straight out of the
-  /// column instead of running the compiled closure per matched pair.
+  /// column instead of running the compiled program per matched pair.
   int detail_arg_col = -1;
 
   /// Evaluates the argument (if any) on `ctx` and folds it into `state`.

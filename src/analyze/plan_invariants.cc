@@ -1,5 +1,6 @@
 #include "analyze/plan_invariants.h"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "expr/bytecode.h"
@@ -36,20 +37,36 @@ Status VerifyPlan(const PlanPtr& plan, const Catalog& catalog, const char* conte
 
 namespace {
 
-/// One θ's worth of report lines: verifier verdict + range facts.
+/// A range fact carries information when it bounds the numeric or string
+/// window (an excluded class counts as bounded) or excludes ALL; the
+/// not-null-only facts every equi conjunct implies narrow nothing.
+bool FactNarrows(const ValueRange& r) {
+  const bool num_bounded =
+      !r.may_be_numeric || !std::isinf(r.num_lo) || !std::isinf(r.num_hi);
+  const bool str_bounded = !r.may_be_string || r.str_lo || r.str_hi;
+  return num_bounded || str_bounded || !r.may_be_all;
+}
+
+/// A zone-map predicate can prune a block only through a finite numeric
+/// bound or by excluding non-numeric cells.
+bool ZoneMapPrunes(const ZoneMapPredicate& z) {
+  return !std::isinf(z.num_lo) || !std::isinf(z.num_hi) || !z.allow_non_numeric;
+}
+
+/// One θ's worth of report lines: verifier verdict + the range facts and
+/// zone-map predicates that narrow something.
 void ReportTheta(const std::string& path, const ExprPtr& theta,
                  const Schema* base_schema, const Schema* detail_schema,
                  std::vector<std::string>* out) {
   if (theta == nullptr) return;
-  // Verifier verdict. θ may fail to lower (e.g. unsupported node kinds fall
-  // back to the closure tree) — that is a report line, not an error.
+  // Verifier verdict. A θ that does not bind (e.g. an un-inferable child
+  // schema) is a report line, not an error.
   Result<BytecodeExpr> bc = BytecodeExpr::Compile(theta, base_schema, detail_schema);
   if (bc.ok()) {
     VerifierReport report = VerifyBytecode(*bc, base_schema, detail_schema);
     out->push_back(path + ": θ bytecode " + report.ToString());
   } else {
-    out->push_back(path + ": θ not lowered to bytecode (" +
-                   bc.status().message() + ")");
+    out->push_back(path + ": θ does not bind: " + bc.status().message());
   }
   // Interval abstract interpretation.
   RangeAnalysis ranges = AnalyzeRanges(theta);
@@ -57,10 +74,10 @@ void ReportTheta(const std::string& path, const ExprPtr& theta,
     out->push_back(path + ": θ UNSATISFIABLE — " + ranges.unsat_reason);
   }
   for (const RangeFact& f : ranges.facts) {
-    out->push_back(path + ": range " + f.ToString());
+    if (FactNarrows(f.range)) out->push_back(path + ": range " + f.ToString());
   }
   for (const ZoneMapPredicate& z : ranges.zone_predicates) {
-    out->push_back(path + ": zone-map " + z.ToString());
+    if (ZoneMapPrunes(z)) out->push_back(path + ": zone-map " + z.ToString());
   }
 }
 
@@ -69,8 +86,8 @@ void ReportNode(const PlanPtr& plan, const Catalog& catalog,
   if (plan == nullptr) return;
   if (plan->kind() == PlanKind::kMdJoin ||
       plan->kind() == PlanKind::kGeneralizedMdJoin) {
-    // Schemas are needed to lower θ; an un-inferable child degrades the
-    // verifier line to "not lowered" rather than failing the report.
+    // Schemas are needed to bind θ; an un-inferable child degrades the
+    // verifier line to a bind failure rather than failing the report.
     Result<Schema> base_schema = InferSchema(plan->child(0), catalog);
     Result<Schema> detail_schema = InferSchema(plan->child(1), catalog);
     const Schema* bs = base_schema.ok() ? &*base_schema : nullptr;

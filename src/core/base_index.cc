@@ -21,7 +21,7 @@ Result<BaseIndex> BaseIndex::Build(const Table& base, const std::vector<int64_t>
     base_keys.push_back(std::move(bk));
     index.detail_keys_.push_back(std::move(dk));
     // Plain-column keys (the overwhelmingly common case) are read straight
-    // from the column during probes, bypassing the compiled closure.
+    // from the column during probes, bypassing the compiled program.
     int col = -1;
     if (pair.detail_expr->kind() == ExprKind::kColumnRef &&
         pair.detail_expr->side() == Side::kDetail) {

@@ -130,7 +130,7 @@ class BaseIndex {
   /// even a base row holding ALL in that position.
   ///
   /// Plain-column detail keys are read straight from the column (no Value
-  /// copy, no closure call) and buckets are probed through RowKeyView
+  /// copy, no program run) and buckets are probed through RowKeyView
   /// heterogeneous lookup, so the per-tuple cost is hashing alone.
   ProbeResult ProbeSpan(const Table& detail, int64_t detail_row,
                         ProbeScratch* scratch, std::vector<int64_t>* gather) const;

@@ -49,8 +49,18 @@ const char* OpName(OpCode op) {
   return "?";
 }
 
-/// Recursive postfix emitter. Jump operands are patched as targets become
-/// known; every case leaves exactly one more value on the evaluation stack.
+/// The one expression compiler: a recursive pass that binds column names to
+/// indices, infers the static result type and emits postfix code. Jump
+/// operands are patched as targets become known; every case leaves exactly
+/// one more value on the evaluation stack.
+///
+/// Result types: a literal takes its own type (NULL and ALL are kInt64), a
+/// column its field type; NOT, IS NULL, IN, comparisons, AND and OR give
+/// kInt64; negation keeps its operand's type; arithmetic gives kFloat64
+/// unless both sides are numeric and the operator is not `/`, in which case
+/// their CommonNumericType; CASE gives kString if any arm or ELSE is a
+/// string, else kFloat64 if any is a float, else kInt64, and mixing string
+/// and numeric arms is a TypeError.
 struct Emitter {
   const Schema* base;
   const Schema* detail;
@@ -63,11 +73,16 @@ struct Emitter {
     return static_cast<int32_t>(literals.size()) - 1;
   }
 
-  Status Emit(const ExprPtr& expr) {
+  int32_t here() const { return static_cast<int32_t>(code.size()); }
+
+  Result<DataType> Emit(const ExprPtr& expr) {
     switch (expr->kind()) {
-      case ExprKind::kLiteral:
-        code.push_back({OpCode::kPushLit, 0, AddLiteral(expr->literal())});
-        return Status::OK();
+      case ExprKind::kLiteral: {
+        const Value& v = expr->literal();
+        Result<DataType> t = v.Type();
+        code.push_back({OpCode::kPushLit, 0, AddLiteral(v)});
+        return t.ok() ? *t : DataType::kInt64;
+      }
       case ExprKind::kColumnRef: {
         const Schema* schema = expr->side() == Side::kBase ? base : detail;
         const char* side_name = expr->side() == Side::kBase ? "base" : "detail";
@@ -80,64 +95,75 @@ struct Emitter {
         code.push_back({expr->side() == Side::kBase ? OpCode::kLoadBase
                                                     : OpCode::kLoadDetail,
                         0, idx});
-        return Status::OK();
+        return schema->field(idx).type;
       }
       case ExprKind::kUnary: {
-        MDJ_RETURN_NOT_OK(Emit(expr->operand()));
+        MDJ_ASSIGN_OR_RETURN(DataType in, Emit(expr->operand()));
         switch (expr->unary_op()) {
           case UnaryOp::kNot:
             code.push_back({OpCode::kNot, 0, 0});
-            return Status::OK();
+            return DataType::kInt64;
           case UnaryOp::kNegate:
             code.push_back({OpCode::kNegate, 0, 0});
-            return Status::OK();
+            return in;
           case UnaryOp::kIsNull:
             code.push_back({OpCode::kIsNull, 0, 0});
-            return Status::OK();
+            return DataType::kInt64;
         }
         return Status::Internal("unreachable unary op");
       }
       case ExprKind::kIn: {
-        MDJ_RETURN_NOT_OK(Emit(expr->operand()));
+        MDJ_RETURN_NOT_OK(Emit(expr->operand()).status());
         in_lists.push_back(expr->candidates());
         code.push_back(
             {OpCode::kIn, 0, static_cast<int32_t>(in_lists.size()) - 1});
-        return Status::OK();
+        return DataType::kInt64;
       }
       case ExprKind::kCase: {
+        bool saw_float = false, saw_string = false, saw_numeric = false;
+        auto note_arm = [&](DataType t) {
+          saw_float = saw_float || t == DataType::kFloat64;
+          saw_numeric = saw_numeric || IsNumeric(t);
+          saw_string = saw_string || t == DataType::kString;
+        };
         std::vector<int32_t> arm_end_jumps;
         for (const auto& [when_ast, then_ast] : expr->when_then()) {
-          MDJ_RETURN_NOT_OK(Emit(when_ast));
-          const int32_t skip_arm = static_cast<int32_t>(code.size());
+          MDJ_RETURN_NOT_OK(Emit(when_ast).status());
+          const int32_t skip_arm = here();
           code.push_back({OpCode::kJumpIfNotTruthy, 0, 0});
-          MDJ_RETURN_NOT_OK(Emit(then_ast));
-          arm_end_jumps.push_back(static_cast<int32_t>(code.size()));
+          MDJ_ASSIGN_OR_RETURN(DataType then_type, Emit(then_ast));
+          note_arm(then_type);
+          arm_end_jumps.push_back(here());
           code.push_back({OpCode::kJump, 0, 0});
-          code[skip_arm].a = static_cast<int32_t>(code.size());
+          code[skip_arm].a = here();
         }
         if (expr->else_expr() != nullptr) {
-          MDJ_RETURN_NOT_OK(Emit(expr->else_expr()));
+          MDJ_ASSIGN_OR_RETURN(DataType else_type, Emit(expr->else_expr()));
+          note_arm(else_type);
         } else {
           code.push_back({OpCode::kPushNull, 0, 0});
         }
-        const int32_t end = static_cast<int32_t>(code.size());
-        for (int32_t j : arm_end_jumps) code[j].a = end;
-        return Status::OK();
+        for (int32_t j : arm_end_jumps) code[j].a = here();
+        if (saw_string && saw_numeric) {
+          return Status::TypeError("CASE arms mix string and numeric results");
+        }
+        if (saw_string) return DataType::kString;
+        return saw_float ? DataType::kFloat64 : DataType::kInt64;
       }
       case ExprKind::kBinary: {
         const BinaryOp op = expr->binary_op();
         if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-          MDJ_RETURN_NOT_OK(Emit(expr->left()));
-          const int32_t jump = static_cast<int32_t>(code.size());
+          MDJ_RETURN_NOT_OK(Emit(expr->left()).status());
+          const int32_t jump = here();
           code.push_back(
               {op == BinaryOp::kAnd ? OpCode::kAndJump : OpCode::kOrJump, 0, 0});
-          MDJ_RETURN_NOT_OK(Emit(expr->right()));
+          MDJ_RETURN_NOT_OK(Emit(expr->right()).status());
           code.push_back({OpCode::kToBool, 0, 0});
-          code[jump].a = static_cast<int32_t>(code.size());
-          return Status::OK();
+          code[jump].a = here();
+          return DataType::kInt64;
         }
-        MDJ_RETURN_NOT_OK(Emit(expr->left()));
-        MDJ_RETURN_NOT_OK(Emit(expr->right()));
+        MDJ_ASSIGN_OR_RETURN(DataType lhs, Emit(expr->left()));
+        MDJ_ASSIGN_OR_RETURN(DataType rhs, Emit(expr->right()));
         switch (op) {
           case BinaryOp::kEq:
           case BinaryOp::kNe:
@@ -146,14 +172,17 @@ struct Emitter {
           case BinaryOp::kGt:
           case BinaryOp::kGe:
             code.push_back({OpCode::kCompare, static_cast<uint8_t>(op), 0});
-            return Status::OK();
+            return DataType::kInt64;
           case BinaryOp::kAdd:
           case BinaryOp::kSub:
           case BinaryOp::kMul:
           case BinaryOp::kDiv:
           case BinaryOp::kMod:
             code.push_back({OpCode::kArith, static_cast<uint8_t>(op), 0});
-            return Status::OK();
+            if (IsNumeric(lhs) && IsNumeric(rhs) && op != BinaryOp::kDiv) {
+              return CommonNumericType(lhs, rhs);
+            }
+            return DataType::kFloat64;
           default:
             return Status::Internal("unreachable binary op");
         }
@@ -169,14 +198,15 @@ Result<BytecodeExpr> BytecodeExpr::Compile(const ExprPtr& expr,
                                            const Schema* base_schema,
                                            const Schema* detail_schema) {
   if (expr == nullptr) {
-    return Status::InvalidArgument("BytecodeExpr: null expression");
+    return Status::InvalidArgument("CompileExpr: null expression");
   }
   Emitter em{base_schema, detail_schema, {}, {}, {}};
-  MDJ_RETURN_NOT_OK(em.Emit(expr));
+  MDJ_ASSIGN_OR_RETURN(DataType type, em.Emit(expr));
   BytecodeExpr out;
   out.code_ = std::move(em.code);
   out.literals_ = std::move(em.literals);
   out.in_lists_ = std::move(em.in_lists);
+  out.result_type_ = type;
   return out;
 }
 

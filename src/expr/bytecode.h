@@ -13,13 +13,14 @@
 
 namespace mdjoin {
 
-/// An expression lowered to a flat postfix program: one contiguous Instr
-/// array evaluated by a tight dispatch loop over a value stack. Semantically
-/// identical to the closure tree built by expr/compile.cc — both route the
-/// comparison and arithmetic operators through expr/eval_ops.h, and the fuzz
-/// suite cross-checks them — but without a virtual/indirect call and heap
-/// hop per node: the whole program is one cache-resident array walked with a
-/// program counter.
+/// An expression compiled to a flat postfix program: one contiguous Instr
+/// array evaluated by a tight dispatch loop over a value stack. This is the
+/// only runtime form of an expression — CompileExpr (expr/compile.h) emits,
+/// types and verifies it in one pass, and the comparison and arithmetic
+/// operators route through expr/eval_ops.h. The whole program is one
+/// cache-resident array walked with a program counter; the Definition-3.1
+/// reference (core/reference.h) interprets the AST independently and the fuzz
+/// suites check the two against each other.
 ///
 /// Instruction set (stack effect in brackets):
 ///
@@ -70,13 +71,16 @@ class BytecodeExpr {
     int32_t a = 0;   // literal / list / column index, or jump target
   };
 
-  /// Lowers `expr` against the schemas. Binding errors mirror
-  /// CompileExpr's — in practice CompileExpr lowers only after the closure
-  /// tree compiled, so this cannot fail on a path users reach.
+  /// Binds `expr` against the schemas, infers its result type and emits the
+  /// program, in one pass. Unverified: CompileExpr runs the result through
+  /// VerifyBytecode before anything evaluates it.
   static Result<BytecodeExpr> Compile(const ExprPtr& expr, const Schema* base_schema,
                                       const Schema* detail_schema);
 
   Value Eval(const RowCtx& ctx) const;
+
+  /// Static result type inferred by the emitter. Predicates are kInt64 0/1.
+  DataType result_type() const { return result_type_; }
 
   int num_instrs() const { return static_cast<int>(code_.size()); }
 
@@ -99,6 +103,7 @@ class BytecodeExpr {
   std::vector<Instr> code_;
   std::vector<Value> literals_;
   std::vector<std::vector<Value>> in_lists_;
+  DataType result_type_ = DataType::kInt64;
 };
 
 }  // namespace mdjoin

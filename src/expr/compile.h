@@ -1,7 +1,6 @@
 #ifndef MDJOIN_EXPR_COMPILE_H_
 #define MDJOIN_EXPR_COMPILE_H_
 
-#include <functional>
 #include <memory>
 
 #include "common/result.h"
@@ -16,48 +15,37 @@ namespace mdjoin {
 /// per-row evaluation does no name lookups. Compile once, evaluate millions
 /// of times.
 ///
-/// Two execution engines back one CompiledExpr:
-///   - a flat bytecode program (expr/bytecode.h) — the runtime evaluator: one
-///     cache-resident instruction array walked by a tight dispatch loop;
-///   - the original closure tree — kept as the oracle (EvalTreeWalk, which
-///     the Definition-3.1 reference evaluator runs) and as the fallback when
-///     a bytecode program fails verification.
-/// Both are compiled from the same AST and share the operator semantics in
-/// expr/eval_ops.h; the fuzz suite cross-checks them on random expressions.
+/// A CompiledExpr is a cheap, copyable handle on one shared, verified
+/// bytecode program (expr/bytecode.h) and its static result type. The
+/// bytecode interpreter is the only runtime evaluator; the independent
+/// oracle it is checked against is the Definition-3.1 reference's AST
+/// interpreter (core/reference.h).
 class CompiledExpr {
  public:
   CompiledExpr() = default;
 
   /// Evaluates against `ctx`. Predicates return Int64 0/1.
-  Value Eval(const RowCtx& ctx) const { return bc_ ? bc_->Eval(ctx) : fn_(ctx); }
+  Value Eval(const RowCtx& ctx) const { return program_->Eval(ctx); }
 
   /// Convenience for predicates.
   bool EvalBool(const RowCtx& ctx) const { return Eval(ctx).IsTruthy(); }
 
-  /// Always evaluates through the closure tree, bypassing bytecode. The
-  /// differential oracle for the reference evaluator and tests; not for hot
-  /// paths.
-  Value EvalTreeWalk(const RowCtx& ctx) const { return fn_(ctx); }
-
   /// Static result type inferred at compile time.
-  DataType result_type() const { return result_type_; }
+  DataType result_type() const { return program_->result_type(); }
 
-  bool valid() const { return static_cast<bool>(fn_); }
-
-  bool has_bytecode() const { return bc_ != nullptr; }
-  const BytecodeExpr* bytecode() const { return bc_.get(); }
+  bool valid() const { return program_ != nullptr; }
 
  private:
   friend Result<CompiledExpr> CompileExpr(const ExprPtr&, const Schema*, const Schema*);
 
-  std::function<Value(const RowCtx&)> fn_;
-  std::shared_ptr<const BytecodeExpr> bc_;
-  DataType result_type_ = DataType::kInt64;
+  std::shared_ptr<const BytecodeExpr> program_;
 };
 
-/// Resolves `expr` against the given schemas. Pass nullptr for a side the
-/// expression must not reference (a base-side reference with a null base
-/// schema is a bind error).
+/// Resolves `expr` against the given schemas and verifies the program
+/// (expr/verifier.h). Pass nullptr for a side the expression must not
+/// reference (a base-side reference with a null base schema is a bind
+/// error). A program the verifier rejects is an emitter bug and comes back
+/// as the verifier's error status.
 Result<CompiledExpr> CompileExpr(const ExprPtr& expr, const Schema* base_schema,
                                  const Schema* detail_schema);
 

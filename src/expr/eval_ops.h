@@ -9,10 +9,11 @@
 namespace mdjoin {
 namespace expr_internal {
 
-/// The two non-trivial Value × Value operators, shared by the closure-tree
-/// compiler (expr/compile.cc) and the bytecode interpreter (expr/bytecode.cc)
-/// so the two execution engines cannot drift apart: an expression evaluated
-/// by either must produce the same Value (the fuzz suite cross-checks them).
+/// The two non-trivial Value × Value operators — the definitions of θ's
+/// comparison and arithmetic. The bytecode interpreter (expr/bytecode.cc),
+/// the predicate kernels' slow path (expr/kernels.cc) and the Definition-3.1
+/// reference interpreter (core/reference.cc) all call these, so an expression
+/// means the same Value everywhere (the fuzz suites cross-check them).
 
 inline Value EvalArith(BinaryOp op, const Value& a, const Value& b) {
   if (a.is_null() || b.is_null() || a.is_all() || b.is_all()) return Value::Null();

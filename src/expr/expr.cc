@@ -1,8 +1,41 @@
 #include "expr/expr.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "common/logging.h"
 
 namespace mdjoin {
+
+namespace {
+
+/// Renders a literal losslessly, so equal renderings mean equal literals
+/// (plan identity — the result cache, fusion and fingerprints — compares
+/// ExplainPlan text). Strings are quoted with '' escaping; a float prints in
+/// the shortest form that reads back to the same double and never the way an
+/// int64 prints. Value::ToString, which table printers use, stays terse.
+std::string LiteralToString(const Value& v) {
+  if (v.is_string()) {
+    std::string out = "'";
+    for (char c : v.string()) {
+      out.push_back(c);
+      if (c == '\'') out.push_back('\'');
+    }
+    return out + "'";
+  }
+  if (!v.is_float64()) return v.ToString();
+  const double d = v.float64();
+  char buf[40];
+  for (int precision = 6; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    if (std::strtod(buf, nullptr) == d) break;
+  }
+  std::string out = buf;
+  if (out.find_first_not_of("-0123456789") == std::string::npos) out += ".0";
+  return out;
+}
+
+}  // namespace
 
 const char* BinaryOpToString(BinaryOp op) {
   switch (op) {
@@ -255,8 +288,7 @@ ExprPtr Expr::SubstituteColumns(
 std::string Expr::ToString() const {
   switch (kind_) {
     case ExprKind::kLiteral:
-      if (literal_.is_string()) return "'" + literal_.ToString() + "'";
-      return literal_.ToString();
+      return LiteralToString(literal_);
     case ExprKind::kColumnRef:
       return (side_ == Side::kBase ? "B." : "R.") + name_;
     case ExprKind::kUnary:
@@ -267,7 +299,7 @@ std::string Expr::ToString() const {
       std::string out = "(" + left_->ToString() + " in (";
       for (size_t i = 0; i < candidates_.size(); ++i) {
         if (i > 0) out += ", ";
-        out += candidates_[i].ToString();
+        out += LiteralToString(candidates_[i]);
       }
       return out + "))";
     }

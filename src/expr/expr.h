@@ -121,7 +121,10 @@ class Expr {
       const ExprPtr& e, Side side,
       const std::vector<std::pair<std::string, ExprPtr>>& replacements);
 
-  /// Readable rendering, e.g. "(R.cust = B.cust and R.state = 'NY')".
+  /// Readable, lossless rendering, e.g. "(R.cust = B.cust and R.state =
+  /// 'NY')": literals and IN candidates render exactly (strings quoted, a
+  /// float in round-trip form such as 100.0 or 99.99999, never like an int),
+  /// so equal text means an equal expression.
   std::string ToString() const;
 
  private:

@@ -3,36 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "expr/eval_ops.h"
+
 namespace mdjoin {
 
 namespace {
 
-/// Reference semantics for one comparison, byte-for-byte the logic of
-/// EvalCompare in expr/compile.cc. The typed loops below are fast paths that
-/// must agree with this on every input; they defer here for mixed-type cells.
-bool KeepCompareSlow(BinaryOp op, const Value& v, const Value& lit) {
-  if (op == BinaryOp::kEq) return v.MatchesEq(lit);
-  if (op == BinaryOp::kNe) {
-    if (v.is_null() || lit.is_null()) return false;
-    return !v.MatchesEq(lit);
-  }
-  if (v.is_null() || lit.is_null() || v.is_all() || lit.is_all()) return false;
-  bool comparable =
-      (v.is_numeric() && lit.is_numeric()) || (v.is_string() && lit.is_string());
-  if (!comparable) return false;
-  int c = v.Compare(lit);
-  switch (op) {
-    case BinaryOp::kLt:
-      return c < 0;
-    case BinaryOp::kLe:
-      return c <= 0;
-    case BinaryOp::kGt:
-      return c > 0;
-    case BinaryOp::kGe:
-      return c >= 0;
-    default:
-      return false;
-  }
+/// Reference semantics for one comparison: expr/eval_ops.h's EvalCompare,
+/// which the bytecode interpreter runs too. The typed loops below are fast
+/// paths that must agree with this on every input; they defer here for
+/// mixed-type cells.
+inline bool KeepCompareSlow(BinaryOp op, const Value& v, const Value& lit) {
+  return expr_internal::EvalCompare(op, v, lit).IsTruthy();
 }
 
 template <BinaryOp Op>
@@ -188,7 +170,7 @@ int DispatchCompare(BinaryOp op, const Value* col, const Value& lit, uint32_t* s
 }
 
 /// IN-list membership with MatchesEq semantics (ALL wildcard), as the
-/// compiled kIn closure evaluates it.
+/// bytecode kIn instruction evaluates it.
 inline bool MatchesAny(const Value& v, const std::vector<Value>& cands) {
   for (const Value& c : cands) {
     if (v.MatchesEq(c)) return true;

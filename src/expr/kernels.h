@@ -43,13 +43,14 @@ struct BlockFilter {
 ///                 all-ones never materializes a selection vector at all.
 ///   2. columnar — same shapes without a typed mirror: per-row typed loops
 ///                 over the Value cells driven by the selection vector.
-///   3. generic  — everything else: a per-row CompiledExpr fallback inside
-///                 the same selection-vector pass.
+///   3. generic  — everything else: the conjunct's compiled bytecode, run
+///                 per row inside the same selection-vector pass.
 ///
 /// Literals that cannot match a flat column's type compile to constant
 /// plans (never-true / true-for-non-null) instead of per-row work.
 ///
-/// Comparison semantics mirror expr/compile.cc exactly: `=` is θ-equality
+/// Comparison semantics are expr/eval_ops.h's, which the bytecode
+/// interpreter runs too: `=` is θ-equality
 /// (ALL wildcard), `<>` is false on NULL, ordered comparisons are false for
 /// NULL/ALL and for mixed string/numeric operands, and float `<=` / `>=`
 /// treat NaN as matching (Value::Compare orders NaN "equal" to everything) —

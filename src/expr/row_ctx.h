@@ -8,9 +8,9 @@ namespace mdjoin {
 class Table;
 
 /// Evaluation context: a (base row, detail row) pair. Single-table evaluation
-/// leaves the unused side null. Lives in its own header so both the
-/// closure-tree compiler (expr/compile.h) and the bytecode interpreter
-/// (expr/bytecode.h) can name it without including each other.
+/// leaves the unused side null. Lives in its own header so the bytecode
+/// interpreter (expr/bytecode.h) and the reference interpreter
+/// (core/reference.h) can name it without depending on each other.
 struct RowCtx {
   const Table* base = nullptr;
   int64_t base_row = 0;

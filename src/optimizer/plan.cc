@@ -185,7 +185,13 @@ std::string PlanNode::Label() const {
       out += "(";
       for (size_t i = 0; i < projections.size(); ++i) {
         if (i > 0) out += ", ";
-        out += projections[i].name;
+        const ProjectItem& item = projections[i];
+        const bool bare = item.expr != nullptr &&
+                          item.expr->kind() == ExprKind::kColumnRef &&
+                          item.expr->side() == Side::kDetail &&
+                          item.expr->column_name() == item.name;
+        if (!bare) out += (item.expr ? item.expr->ToString() : "?") + " AS ";
+        out += item.name;
       }
       out += ")";
       break;

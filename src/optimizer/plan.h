@@ -173,7 +173,11 @@ class Catalog {
 /// unbound names or type mismatches — running this is the plan's type check.
 Result<Schema> InferSchema(const PlanPtr& plan, const Catalog& catalog);
 
-/// Renders the plan tree, one node per line, children indented.
+/// Renders the plan tree, one node per line, children indented. The
+/// rendering is lossless — every label carries its node's full payload and
+/// literals render exactly (Expr::ToString) — so two plans with equal text
+/// compute the same relation; plan identity (result cache, fusion,
+/// fingerprints) compares this text.
 std::string ExplainPlan(const PlanPtr& plan);
 
 }  // namespace mdjoin

@@ -23,8 +23,7 @@ Status NotApplicable(const char* rule, const std::string& why) {
 
 bool IsMdJoin(const PlanPtr& p) { return p->kind() == PlanKind::kMdJoin; }
 
-/// Structural plan identity via the explain rendering (labels carry the full
-/// payload). Used to decide whether two detail subplans are "the same
+/// Structural plan identity via the lossless explain rendering. Used to decide whether two detail subplans are "the same
 /// relation" for fusion.
 bool SamePlan(const PlanPtr& a, const PlanPtr& b) {
   return a == b || ExplainPlan(a) == ExplainPlan(b);

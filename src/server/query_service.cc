@@ -6,6 +6,7 @@
 #include "analyze/binder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "optimizer/cost.h"
 #include "optimizer/rules.h"
 
 namespace mdjoin {
@@ -251,8 +252,8 @@ Result<QueryResult> QueryService::ExecuteInternal(
   if (record != nullptr) {
     // Submitted-form identity vs. executed-form identity; they differ exactly
     // when canonicalization changed the plan.
-    record->fingerprint = FingerprintString(ExplainPlan(plan));
-    record->plan_hash = FingerprintString(ExplainPlan(canonical));
+    record->fingerprint = PlanFingerprint(plan);
+    record->plan_hash = PlanFingerprint(canonical);
   }
 
   const bool cache_on = cache_ != nullptr && query_options.use_cache;

@@ -8,6 +8,7 @@
 
 #include "expr/compile.h"
 #include "expr/verifier.h"
+#include "obs/metrics.h"
 #include "table/table_builder.h"
 #include "tests/test_util.h"
 
@@ -306,16 +307,21 @@ TEST(VerifierIntegration, MutatedCompiledProgramIsRejected) {
   EXPECT_FALSE(report.ToStatus().ok());
 }
 
-TEST(VerifierIntegration, HardGateRejectsAtCompileTime) {
-  // Under MDJOIN_VERIFY_PLANS=1, CompileExpr itself runs the verifier; a
-  // passing θ must still compile (the gate is transparent for valid
-  // programs). The failing direction requires injecting a broken emitter and
-  // is covered by the raw-parts corpus above.
+TEST(VerifierIntegration, CompileExprVerifiesEveryProgram) {
+  // CompileExpr runs the verifier on every program it emits, with or without
+  // MDJOIN_VERIFY_PLANS: a passing θ compiles and bumps the verified counter
+  // once. The failing direction requires injecting a broken emitter and is
+  // covered by the raw-parts corpus above.
+  Counter* verified = MetricsRegistry::Global().GetCounter(
+      "mdjoin_theta_verified_total",
+      "θ bytecode programs that passed the static verifier");
+  const int64_t before = verified->value();
   Schema bs = BaseSchema(), ds = DetailSchema();
   Result<CompiledExpr> compiled =
       CompileExpr(And(Lt(RCol("d_int"), Lit(5)), Eq(BCol("b_int"), RCol("d_int"))),
                   &bs, &ds);
   ASSERT_TRUE(compiled.ok());
+  EXPECT_EQ(verified->value(), before + 1);
 }
 
 }  // namespace

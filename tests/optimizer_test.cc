@@ -196,6 +196,30 @@ TEST_F(OptimizerTest, Theorem43FusionMixedDependencies) {
   EXPECT_EQ(stats.detail_rows_scanned, 3 * sales_.num_rows());
 }
 
+TEST_F(OptimizerTest, Theorem43FusionTellsNearlyEqualFloatFiltersApart) {
+  // The two details differ only past the sixth significant digit of a float
+  // literal: they are different relations and must not fuse into one scan.
+  PlanPtr above_lo = FilterPlan(TableRef("sales"), Gt(RCol("sale"), Lit(99.99999)));
+  PlanPtr above_hi = FilterPlan(TableRef("sales"), Gt(RCol("sale"), Lit(100.00001)));
+  PlanPtr plan = MdJoinPlan(DistinctCustBase(), above_lo, {Count("n1")}, CustTheta());
+  plan = MdJoinPlan(plan, above_hi, {Count("n2")}, CustTheta());
+  Result<PlanPtr> fused = FuseMdJoinSeries(plan);
+  EXPECT_FALSE(fused.ok());
+  if (fused.ok()) ExpectSameResult(plan, *fused);
+  // Customer 1 sold 100 and 200: two sales above 99.99999, one above
+  // 100.00001.
+  Result<Table> got = ExecutePlan(fused.ok() ? *fused : plan, catalog_);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  bool saw_cust1 = false;
+  for (int64_t r = 0; r < got->num_rows(); ++r) {
+    if (got->Get(r, 0).int64() != 1) continue;
+    saw_cust1 = true;
+    EXPECT_EQ(got->Get(r, 1).int64(), 2);
+    EXPECT_EQ(got->Get(r, 2).int64(), 1);
+  }
+  EXPECT_TRUE(saw_cust1);
+}
+
 TEST_F(OptimizerTest, Theorem43CommutePreservesResults) {
   Table payments = GeneratePayments({.num_rows = 60, .num_customers = 4, .seed = 7});
   ASSERT_TRUE(catalog_.Register("payments", &payments).ok());

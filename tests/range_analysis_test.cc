@@ -384,6 +384,33 @@ TEST_F(UnsatRewriteTest, StaticAnalysisSectionRendersInProfiles) {
   EXPECT_NE(profile.ToJson().find("\"analysis\""), std::string::npos);
 }
 
+TEST_F(UnsatRewriteTest, StaticAnalysisReportsOnlyNarrowingFacts) {
+  // The headline cube θ is pure dimension equality: its facts only say "not
+  // NULL" and its zone maps span [-inf, inf] with non-numeric cells allowed,
+  // so the report is the verifier line alone.
+  std::vector<std::string> dims = {"prod", "month"};
+  ExprPtr cube_theta = And(Eq(BCol("prod"), RCol("prod")), Eq(BCol("month"), RCol("month")));
+  PlanPtr cube = MdJoinPlan(CubeBasePlan(TableRef("sales"), dims), TableRef("sales"),
+                            {Sum(RCol("sale"), "total"), Count("n")}, cube_theta);
+  std::vector<std::string> report = StaticAnalysisReport(cube, catalog_);
+  ASSERT_EQ(report.size(), 1u) << testing::PrintToString(report);
+  EXPECT_NE(report[0].find("θ bytecode"), std::string::npos) << report[0];
+
+  // A bound on R.sale narrows both the fact and the zone map.
+  PlanPtr bounded = MdJoinPlan(DistinctCustBase(), TableRef("sales"), {Count("n")},
+                               And(Eq(BCol("cust"), RCol("cust")),
+                                   Lt(RCol("sale"), Lit(100))));
+  report = StaticAnalysisReport(bounded, catalog_);
+  bool sale_range = false, sale_zone = false;
+  for (const std::string& line : report) {
+    EXPECT_EQ(line.find("num:any str:any"), std::string::npos) << line;
+    if (line.find("range R.sale") != std::string::npos) sale_range = true;
+    if (line.find("zone-map sale") != std::string::npos) sale_zone = true;
+  }
+  EXPECT_TRUE(sale_range) << testing::PrintToString(report);
+  EXPECT_TRUE(sale_zone) << testing::PrintToString(report);
+}
+
 TEST_F(UnsatRewriteTest, PushdownAndTransferCertificatesCarryRanges) {
   ExprPtr theta = And(Eq(BCol("cust"), RCol("cust")), Lt(RCol("sale"), Lit(100.0)));
   PlanPtr plan =

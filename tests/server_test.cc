@@ -527,6 +527,50 @@ TEST_F(ServerTest, ServiceExecutesCachesAndCountsHits) {
   EXPECT_EQ(service.admission().threads_in_use(), 0);
 }
 
+TEST_F(ServerTest, CacheTellsProjectionsWithOneOutputNameApart) {
+  // Both plans output one column named k; only the projected expression
+  // differs, so the second query must not be served the first one's table.
+  QueryService service(catalog_);
+  auto session = service.OpenSession();
+  PlanPtr by_cust = ProjectPlan(TableRef("sales"), {{Col("cust"), "k"}});
+  PlanPtr by_prod = ProjectPlan(TableRef("sales"), {{Col("prod"), "k"}});
+  Result<QueryResult> first = session->Execute(by_cust);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  Result<QueryResult> second = session->Execute(by_prod);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->stats.cache, CacheOutcome::kMiss);
+  Result<Table> expect = ExecutePlan(by_prod, catalog_);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  ASSERT_NE(second->table, nullptr);
+  EXPECT_TRUE(TablesEqualOrdered(*expect, *second->table));
+}
+
+TEST_F(ServerTest, CacheTellsNearlyEqualFloatFiltersApart) {
+  // The filters differ only past the sixth significant digit of a float
+  // literal. Customer 1 sold 100 and 200: n = 2 above 99.99999 and n = 1
+  // above 100.00001.
+  QueryService service(catalog_);
+  auto session = service.OpenSession();
+  auto count_above = [](double cut) {
+    return GroupByPlan(FilterPlan(TableRef("sales"), Gt(Col("sale"), Lit(cut))),
+                       {"cust"}, {Count("n")});
+  };
+  for (double cut : {99.99999, 100.00001}) {
+    Result<QueryResult> got = session->Execute(count_above(cut));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->stats.cache, CacheOutcome::kMiss) << cut;
+    Result<Table> expect = ExecutePlan(count_above(cut), catalog_);
+    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+    ASSERT_NE(got->table, nullptr);
+    EXPECT_TRUE(TablesEqualUnordered(*expect, *got->table)) << cut;
+    for (int64_t r = 0; r < got->table->num_rows(); ++r) {
+      if (got->table->Get(r, 0).int64() == 1) {
+        EXPECT_EQ(got->table->Get(r, 1).int64(), cut < 100 ? 2 : 1) << cut;
+      }
+    }
+  }
+}
+
 TEST_F(ServerTest, PagedQueryRecordsBlocksReadWithoutFeedback) {
   // The unprofiled engine path must carry the paged scan's block counters
   // into the query record, not only the profiled collect_feedback path.

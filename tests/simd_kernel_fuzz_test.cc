@@ -4,9 +4,12 @@
 ///   - simd::Cmp* / reductions at every available level vs a scalar reference
 ///     implementing the documented semantics (including NaN-true kLe/kGe)
 ///   - PredicateKernels::FilterBlock (flat plans, dictionary translation,
-///     dense bitmask path) vs per-row tree-walk evaluation
-///   - the bytecode interpreter vs the closure-tree walker on random
-///     expression trees (NULL/ALL/NaN-laden rows)
+///     dense bitmask path) vs the reference AST interpreter
+///     (core/reference.h InterpretExpr)
+///   - the bytecode interpreter vs the reference AST interpreter on random
+///     expression trees (NULL/ALL/NaN-laden rows) and on a fixed corpus of
+///     NULL / ALL / NaN / ±0 / CASE-without-ELSE / short-circuit / mixed-IN
+///     edge cases
 ///   - typed AggStateColumn updates vs the Value-at-a-time Update
 ///   - whole MD-joins across the {simd, use_flat_columns, block_size} option
 ///     matrix, bit-identical to the Definition-3.1 reference (core/reference.h)
@@ -253,7 +256,7 @@ ExprPtr RandomConjunct(Random* rng) {
   }
 }
 
-TEST_P(SimdFuzz, FilterBlockMatchesTreeWalkOracle) {
+TEST_P(SimdFuzz, FilterBlockMatchesReferenceInterpreter) {
   Random rng(GetParam() + 31);
   for (int with_all = 0; with_all < 2; ++with_all) {
     Table detail = RandomDetail(&rng, 700, with_all == 1);
@@ -263,15 +266,15 @@ TEST_P(SimdFuzz, FilterBlockMatchesTreeWalkOracle) {
       const int nc = static_cast<int>(rng.UniformInt(1, 4));
       for (int i = 0; i < nc; ++i) conjuncts.push_back(RandomConjunct(&rng));
 
-      Result<CompiledExpr> oracle =
-          CompileExpr(CombineConjuncts(conjuncts), nullptr, &detail.schema());
-      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      const ExprPtr theta = CombineConjuncts(conjuncts);
       std::vector<char> expect(static_cast<size_t>(detail.num_rows()));
       RowCtx ctx;
       ctx.detail = &detail;
       for (int64_t t = 0; t < detail.num_rows(); ++t) {
         ctx.detail_row = t;
-        expect[static_cast<size_t>(t)] = oracle->EvalTreeWalk(ctx).IsTruthy();
+        Result<Value> v = InterpretExpr(*theta, ctx);
+        ASSERT_TRUE(v.ok()) << v.status().ToString();
+        expect[static_cast<size_t>(t)] = v->IsTruthy();
       }
 
       for (simd::Level level : AvailableLevels()) {
@@ -377,7 +380,30 @@ ExprPtr RandomBytecodeExpr(Random* rng, int depth, bool numeric = false) {
   }
 }
 
-TEST_P(SimdFuzz, BytecodeMatchesTreeWalk) {
+/// Checks the compiled program against the reference interpreter on every
+/// (base, detail) row pair, bit for bit.
+void ExpectBytecodeMatchesReference(const ExprPtr& expr, const Table& base,
+                                    const Table& detail) {
+  Result<CompiledExpr> compiled = CompileExpr(expr, &base.schema(), &detail.schema());
+  ASSERT_TRUE(compiled.ok()) << expr->ToString() << ": " << compiled.status().ToString();
+  RowCtx ctx;
+  ctx.base = &base;
+  ctx.detail = &detail;
+  for (int64_t b = 0; b < base.num_rows(); ++b) {
+    for (int64_t d = 0; d < detail.num_rows(); ++d) {
+      ctx.base_row = b;
+      ctx.detail_row = d;
+      Result<Value> ref = InterpretExpr(*expr, ctx);
+      ASSERT_TRUE(ref.ok()) << expr->ToString() << ": " << ref.status().ToString();
+      const Value bc = compiled->Eval(ctx);
+      ASSERT_TRUE(SameValue(*ref, bc))
+          << expr->ToString() << " reference=" << ref->ToString()
+          << " bytecode=" << bc.ToString() << " b=" << b << " d=" << d;
+    }
+  }
+}
+
+TEST_P(SimdFuzz, BytecodeMatchesReferenceInterpreter) {
   Random rng(GetParam() + 47);
   Schema base_schema({{"b_int", DataType::kInt64}, {"b_str", DataType::kString}});
   TableBuilder bb(base_schema);
@@ -391,30 +417,73 @@ TEST_P(SimdFuzz, BytecodeMatchesTreeWalk) {
   Table base = std::move(bb).Finish();
   Table detail = RandomDetail(&rng, 10, /*with_all=*/true);
 
-  int bytecode_seen = 0;
   for (int round = 0; round < 80; ++round) {
-    ExprPtr expr = RandomBytecodeExpr(&rng, 4);
-    Result<CompiledExpr> compiled = CompileExpr(expr, &base_schema, &detail.schema());
-    ASSERT_TRUE(compiled.ok()) << expr->ToString();
-    bytecode_seen += compiled->has_bytecode();
-    RowCtx ctx;
-    ctx.base = &base;
-    ctx.detail = &detail;
-    for (int64_t b = 0; b < base.num_rows(); ++b) {
-      for (int64_t d = 0; d < detail.num_rows(); ++d) {
-        ctx.base_row = b;
-        ctx.detail_row = d;
-        const Value tree = compiled->EvalTreeWalk(ctx);
-        const Value bc = compiled->Eval(ctx);
-        ASSERT_TRUE(SameValue(tree, bc))
-            << expr->ToString() << " tree=" << tree.ToString()
-            << " bytecode=" << bc.ToString() << " b=" << b << " d=" << d;
-      }
-    }
+    ExpectBytecodeMatchesReference(RandomBytecodeExpr(&rng, 4), base, detail);
   }
-  // Every expression must have lowered (compiled->Eval would otherwise just
-  // re-test the tree walker).
-  EXPECT_EQ(bytecode_seen, 80);
+}
+
+TEST(BytecodeEdgeCases, MatchReferenceInterpreter) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Schema base_schema({{"b_int", DataType::kInt64}, {"b_str", DataType::kString}});
+  TableBuilder bb(base_schema);
+  bb.AppendRowOrDie({I(0), S("NY")});
+  bb.AppendRowOrDie({NUL(), NUL()});
+  bb.AppendRowOrDie({testutil::ALL(), testutil::ALL()});
+  bb.AppendRowOrDie({I(3), S("zz")});
+  Table base = std::move(bb).Finish();
+  Schema detail_schema({{"i", DataType::kInt64},
+                        {"f", DataType::kFloat64},
+                        {"s", DataType::kString}});
+  TableBuilder db(detail_schema);
+  db.AppendRowOrDie({I(0), F(0.0), S("NY")});
+  db.AppendRowOrDie({I(-1), F(-0.0), S("")});
+  db.AppendRowOrDie({I(3), F(nan), S("zz")});
+  db.AppendRowOrDie({NUL(), NUL(), NUL()});
+  db.AppendRowOrDie({testutil::ALL(), testutil::ALL(), testutil::ALL()});
+  db.AppendRowOrDie({I(7), F(1.5), S("NY")});
+  db.AppendRowOrDie({I(2), F(-2.5), S("CA")});
+  Table detail = std::move(db).Finish();
+
+  const std::vector<ExprPtr> corpus = {
+      // ±0: negation and arithmetic must keep the sign bit; = and <> ignore it.
+      Neg(RCol("f")), Neg(Lit(0.0)), Neg(Lit(-0.0)), Mul(RCol("f"), Lit(-1.0)),
+      Add(RCol("f"), Lit(-0.0)), Sub(Lit(0.0), RCol("f")), Div(Lit(1.0), RCol("f")),
+      Eq(RCol("f"), Lit(-0.0)), Ne(RCol("f"), Lit(0.0)), Lt(RCol("f"), Lit(-0.0)),
+      // NaN: ordered comparisons, non-strict NaN-true, arithmetic propagation.
+      Lt(RCol("f"), Lit(nan)), Le(RCol("f"), Lit(nan)), Ge(Lit(nan), RCol("f")),
+      Eq(RCol("f"), Lit(nan)), Add(RCol("f"), Lit(nan)), Not(RCol("f")),
+      Mod(RCol("f"), Lit(0.0)), Mod(RCol("i"), Lit(0)), Div(RCol("i"), Lit(0)),
+      // NULL and ALL: θ-equality wildcard, <> and ordered comparisons false,
+      // arithmetic NULL, NOT NULL false.
+      Eq(BCol("b_int"), RCol("i")), Ne(BCol("b_int"), RCol("i")),
+      Lt(BCol("b_int"), RCol("i")), Eq(BCol("b_str"), RCol("s")),
+      Ge(RCol("s"), BCol("b_str")), Add(BCol("b_int"), RCol("i")),
+      Not(RCol("i")), Not(Lit(Value::Null())), Neg(Lit(Value::All())),
+      IsNull(RCol("s")), IsNull(Add(RCol("i"), Lit(Value::All()))),
+      Eq(Lit(Value::All()), Lit(Value::Null())), Ne(Lit(Value::All()), RCol("s")),
+      // CASE without ELSE: the fall-through yields NULL.
+      CaseWhen({{Gt(RCol("f"), Lit(0.0)), RCol("f")}}),
+      CaseWhen({{IsNull(RCol("i")), Lit("null")}, {Eq(RCol("s"), BCol("b_str")), RCol("s")}}),
+      CaseWhen({{RCol("f"), RCol("i")}, {Lit(Value::All()), Lit(9)}}),
+      Add(CaseWhen({{Lt(RCol("i"), Lit(1)), Lit(1)}}), Lit(1)),
+      // Short-circuit AND / OR, with NULL, ALL and NaN operands on either side.
+      And(Lit(Value::Null()), Div(RCol("i"), Lit(0))),
+      And(Lit(0), IsNull(RCol("i"))), Or(Lit(1), Lit(Value::Null())),
+      Or(Lit(Value::All()), RCol("f")), And(RCol("f"), Lit(Value::All())),
+      Or(Eq(BCol("b_int"), RCol("i")), Lt(RCol("f"), Lit(nan))),
+      And(Or(RCol("s"), Lit(0)), Not(Eq(RCol("i"), BCol("b_int")))),
+      // Mixed IN lists: int / float / string / NULL / ALL candidates.
+      In(RCol("f"), {I(0), F(-0.0), S("NY"), NUL(), testutil::ALL()}),
+      In(RCol("i"), {F(3.0), S("3"), F(nan)}),
+      In(RCol("s"), {S("NY"), I(0), F(0.0), NUL()}),
+      In(BCol("b_int"), {I(0), S("zz")}),
+      In(BCol("b_str"), {}),
+      In(Lit(Value::Null()), {NUL(), I(0)}),
+      In(Neg(RCol("f")), {F(0.0), F(2.5)}),
+  };
+  for (const ExprPtr& expr : corpus) {
+    ExpectBytecodeMatchesReference(expr, base, detail);
+  }
 }
 
 TEST_P(SimdFuzz, TypedAggUpdatesMatchValueUpdates) {
