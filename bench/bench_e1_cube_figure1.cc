@@ -12,6 +12,7 @@
 #include "core/mdjoin.h"
 #include "cube/base_tables.h"
 #include "ra/filter.h"
+#include "ra/project.h"
 #include "table/table_ops.h"
 
 namespace mdjoin {
@@ -142,6 +143,33 @@ void BM_CubeRawSpeed(benchmark::State& state) {
 }
 BENCHMARK(BM_CubeRawSpeed)
     ->ArgsProduct({{200000, 1000000}, {0, 1, 2, 3, 4}})
+    ->Unit(benchmark::kMillisecond);
+
+/// Base generation, which the arms above do outside the timed loop. arg1
+/// picks the generator as the executor runs it:
+///   0 cube  — CubeByBase over (prod, month): Figure 1's B, one distinct
+///     pass over R for the finest cuboid, coarser cuboids derived from it.
+///   1 group — group(cust) as the binder lowers it, Distinct(Project(R)):
+///     Example 2.2's B.
+/// Both read the detail table's typed mirror (distinct keys on int64
+/// payloads); the Project copies its column and mirror.
+void BM_BaseGeneration(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  const int arm = static_cast<int>(state.range(1));
+  const Table& sales = CachedSales(rows, 100, 50, 12);
+  int64_t base_rows = 0;
+  for (auto _ : state) {
+    Table base = arm == 0 ? *CubeByBase(sales, {"prod", "month"})
+                          : Distinct(*Project(sales, {{dsl::RCol("cust"), "cust"}}));
+    base_rows = base.num_rows();
+    benchmark::DoNotOptimize(base_rows);
+  }
+  state.counters["arm"] = arm;
+  state.counters["base_rows"] = static_cast<double>(base_rows);
+  state.counters["detail_rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_BaseGeneration)
+    ->ArgsProduct({{200000, 1000000}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GroupingSetsViaSameOperator(benchmark::State& state) {

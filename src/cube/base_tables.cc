@@ -1,9 +1,7 @@
 #include "cube/base_tables.h"
 
 #include <map>
-#include <unordered_set>
 
-#include "table/key.h"
 #include "table/table_ops.h"
 
 namespace mdjoin {
@@ -21,28 +19,41 @@ Result<Schema> BaseSchema(const Table& t, const std::vector<std::string>& dims) 
   return Schema(std::move(fields));
 }
 
-/// Appends the `mask` cuboid of `t` to `out` (schema over `dims`).
+/// A base table under construction: one Value column per dimension.
+struct BaseColumns {
+  std::vector<std::vector<Value>> columns;
+  int64_t num_rows = 0;
+
+  explicit BaseColumns(size_t num_dims) : columns(num_dims) {}
+
+  Table Finish(Schema schema) && {
+    return Table::FromColumns(std::move(schema), std::move(columns), num_rows);
+  }
+};
+
+/// Appends the `mask` cuboid of `t` to `out`: t's distinct keys over the
+/// masked dims, in first-occurrence order, with ALL in the other positions.
 Status AppendCuboid(const Table& t, const std::vector<std::string>& dims,
-                    CuboidMask mask, Table* out) {
+                    CuboidMask mask, BaseColumns* out) {
+  std::vector<int> src(dims.size(), -1);  // t's column feeding each dim
   std::vector<int> cols;
-  std::vector<int> positions;
   for (size_t i = 0; i < dims.size(); ++i) {
     if (mask & (CuboidMask{1} << i)) {
-      MDJ_ASSIGN_OR_RETURN(int idx, t.schema().GetFieldIndex(dims[i]));
-      cols.push_back(idx);
-      positions.push_back(static_cast<int>(i));
+      MDJ_ASSIGN_OR_RETURN(src[i], t.schema().GetFieldIndex(dims[i]));
+      cols.push_back(src[i]);
     }
   }
-  std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    RowKey key = t.GetRowKey(r, cols);
-    if (!seen.insert(key).second) continue;
-    std::vector<Value> row(dims.size(), Value::All());
-    for (size_t i = 0; i < positions.size(); ++i) {
-      row[static_cast<size_t>(positions[i])] = key[i];
+  const std::vector<int64_t> rows = DistinctRowIndices(t, cols);
+  for (size_t i = 0; i < dims.size(); ++i) {
+    std::vector<Value>& column = out->columns[i];
+    if (src[i] < 0) {
+      column.insert(column.end(), rows.size(), Value::All());
+      continue;
     }
-    out->AppendRowUnchecked(std::move(row));
+    const std::vector<Value>& cells = t.column(src[i]);
+    for (int64_t r : rows) column.push_back(cells[static_cast<size_t>(r)]);
   }
+  out->num_rows += static_cast<int64_t>(rows.size());
   return Status::OK();
 }
 
@@ -54,9 +65,9 @@ Result<Table> GroupByBase(const Table& t, const std::vector<std::string>& dims) 
 
 Result<Table> CuboidBase(const Table& t, const CubeLattice& lattice, CuboidMask mask) {
   MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, lattice.dims()));
-  Table out{std::move(schema)};
+  BaseColumns out(lattice.dims().size());
   MDJ_RETURN_NOT_OK(AppendCuboid(t, lattice.dims(), mask, &out));
-  return out;
+  return std::move(out).Finish(std::move(schema));
 }
 
 // The cube builders take one distinct pass over R, for the finest cuboid,
@@ -69,7 +80,7 @@ Result<Table> CuboidBase(const Table& t, const CubeLattice& lattice, CuboidMask 
 Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims) {
   MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(dims));
   MDJ_ASSIGN_OR_RETURN(Table finest, GroupByBase(t, dims));
-  Table out{finest.schema()};
+  BaseColumns out(dims.size());
   // Full cuboid first, then coarser ones, grand total last — the natural
   // reading order of Figure 1(a).
   for (int level = lattice.num_dims(); level >= 0; --level) {
@@ -77,24 +88,24 @@ Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims) {
       MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
     }
   }
-  return out;
+  return std::move(out).Finish(finest.schema());
 }
 
 Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims) {
   MDJ_ASSIGN_OR_RETURN(Table finest, GroupByBase(t, dims));
-  Table out{finest.schema()};
+  BaseColumns out(dims.size());
   // Prefix masks: full, drop last dim, ..., grand total.
   for (int k = static_cast<int>(dims.size()); k >= 0; --k) {
     CuboidMask mask = (CuboidMask{1} << k) - 1;
     MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
   }
-  return out;
+  return std::move(out).Finish(finest.schema());
 }
 
 Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
                                const std::vector<std::vector<std::string>>& sets) {
   MDJ_ASSIGN_OR_RETURN(Table finest, GroupByBase(t, dims));
-  Table out{finest.schema()};
+  BaseColumns out(dims.size());
   for (const std::vector<std::string>& set : sets) {
     CuboidMask mask = 0;
     for (const std::string& attr : set) {
@@ -113,7 +124,7 @@ Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& d
     }
     MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
   }
-  return out;
+  return std::move(out).Finish(finest.schema());
 }
 
 Result<Table> UnpivotBase(const Table& t, const std::vector<std::string>& dims) {

@@ -15,18 +15,28 @@ Result<Table> Project(const Table& t, const std::vector<ProjectItem>& items) {
     fields.push_back(Field{item.name, c.result_type()});
     exprs.push_back(std::move(c));
   }
-  Table out{Schema(std::move(fields))};
-  out.Reserve(t.num_rows());
+  // A projection of bare detail columns is a column copy, typed mirror
+  // included; computed columns evaluate one column at a time.
+  std::vector<int> cols;
+  for (const ProjectItem& item : items) {
+    if (item.expr->kind() != ExprKind::kColumnRef || item.expr->side() != Side::kDetail) {
+      break;
+    }
+    MDJ_ASSIGN_OR_RETURN(int c, t.schema().GetFieldIndex(item.expr->column_name()));
+    cols.push_back(c);
+  }
+  if (cols.size() == items.size()) return GatherColumns(t, cols, std::move(fields));
+  std::vector<std::vector<Value>> columns(exprs.size());
   RowCtx ctx;
   ctx.detail = &t;
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    ctx.detail_row = r;
-    std::vector<Value> row;
-    row.reserve(exprs.size());
-    for (const CompiledExpr& e : exprs) row.push_back(e.Eval(ctx));
-    out.AppendRowUnchecked(std::move(row));
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    columns[i].reserve(static_cast<size_t>(t.num_rows()));
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      ctx.detail_row = r;
+      columns[i].push_back(exprs[i].Eval(ctx));
+    }
   }
-  return out;
+  return Table::FromColumns(Schema(std::move(fields)), std::move(columns), t.num_rows());
 }
 
 Result<Table> ProjectColumns(const Table& t, const std::vector<std::string>& columns) {
@@ -34,12 +44,7 @@ Result<Table> ProjectColumns(const Table& t, const std::vector<std::string>& col
   std::vector<Field> fields;
   fields.reserve(cols.size());
   for (int c : cols) fields.push_back(t.schema().field(c));
-  Table out{Schema(std::move(fields))};
-  out.Reserve(t.num_rows());
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    out.AppendRowUnchecked(t.GetRowKey(r, cols));
-  }
-  return out;
+  return GatherColumns(t, cols, std::move(fields));
 }
 
 }  // namespace mdjoin

@@ -1,5 +1,7 @@
 #include "table/table.h"
 
+#include <algorithm>
+
 #include "table/printer.h"
 #include "table/table_accel.h"
 
@@ -14,6 +16,21 @@ Table Table::Clone() const {
   out.columns_ = columns_;
   out.num_rows_ = num_rows_;
   out.accel_ = accel_;  // immutable and matching the copied cells
+  return out;
+}
+
+Table Table::FromColumns(Schema schema, std::vector<std::vector<Value>> columns,
+                         int64_t num_rows, std::shared_ptr<const TableAccel> accel) {
+  MDJ_DCHECK(static_cast<int>(columns.size()) == schema.num_fields());
+  MDJ_DCHECK(accel == nullptr || (accel->num_rows == num_rows &&
+                                  accel->cols.size() == columns.size()));
+  MDJ_DCHECK(std::all_of(columns.begin(), columns.end(), [&](const auto& col) {
+    return static_cast<int64_t>(col.size()) == num_rows;
+  }));
+  Table out(std::move(schema));
+  out.columns_ = std::move(columns);
+  out.num_rows_ = num_rows;
+  out.accel_ = std::move(accel);
   return out;
 }
 
@@ -77,6 +94,7 @@ int64_t Table::ApproxBytes() const {
       if (v.is_string()) bytes += static_cast<int64_t>(v.string().capacity());
     }
   }
+  if (accel_ != nullptr) bytes += accel_->ApproxBytes();
   return bytes;
 }
 

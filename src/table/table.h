@@ -30,6 +30,14 @@ class Table {
 
   Table Clone() const;
 
+  /// Assembles a table from whole columns, each `num_rows` long, plus an
+  /// optional typed mirror that must already match the cells (one FlatColumn
+  /// per column, same row count). The column-wise operators (table_ops.h
+  /// GatherColumns) build their outputs through this.
+  static Table FromColumns(Schema schema, std::vector<std::vector<Value>> columns,
+                           int64_t num_rows,
+                           std::shared_ptr<const TableAccel> accel = nullptr);
+
   const Schema& schema() const { return schema_; }
   int num_columns() const { return schema_.num_fields(); }
   int64_t num_rows() const { return num_rows_; }
@@ -69,19 +77,22 @@ class Table {
   void Reserve(int64_t rows);
 
   /// Rough heap footprint of the table's cells (Value storage plus string
-  /// payloads), used by the QueryGuard memory accountant when the executor
-  /// materializes intermediates. O(rows × columns).
+  /// payloads) and of its typed mirror's payload arrays (a mirror's
+  /// dictionaries are shared between tables and not counted), used by the
+  /// QueryGuard memory accountant when the executor materializes
+  /// intermediates and by the result cache. O(rows × columns).
   int64_t ApproxBytes() const;
 
   /// Typed columnar mirror for the SIMD kernels (table/table_accel.h), or
-  /// null when none was built. Built explicitly at load time via
-  /// RebuildAccel(); every mutator drops it, so a non-null accelerator is
-  /// always in sync with the cells. Engines treat null as "use the Value
-  /// path" — never an error.
+  /// null when there is none. Loaded tables build it (RebuildAccel); the
+  /// column-wise operators (filter, distinct, sort, column projection)
+  /// carry their input's mirror over to their output. Every row mutator
+  /// drops it, so a non-null accelerator is always in sync with the cells.
+  /// Engines treat null as "use the Value path" — never an error.
   const std::shared_ptr<const TableAccel>& accel() const { return accel_; }
 
   /// (Re)builds the typed mirror from the current cells. Called by
-  /// TableBuilder::Finish and the CSV loader; operator outputs skip it.
+  /// TableBuilder::Finish and the CSV loader.
   void RebuildAccel();
 
   /// Human-readable grid (delegates to printer.h).

@@ -1,5 +1,7 @@
 #include "table/table_accel.h"
 
+#include <algorithm>
+
 namespace mdjoin {
 
 namespace {
@@ -91,6 +93,58 @@ std::shared_ptr<const TableAccel> TableAccel::Build(const Table& table) {
   return accel;
 }
 
+namespace {
+
+template <typename T>
+std::vector<T> TakeOrCopy(const std::vector<T>& src, const std::vector<int64_t>* rows) {
+  if (rows == nullptr) return src;
+  std::vector<T> out(rows->size());
+  for (size_t i = 0; i < rows->size(); ++i) out[i] = src[static_cast<size_t>((*rows)[i])];
+  return out;
+}
+
+FlatColumn GatherColumn(const FlatColumn& src, const std::vector<int64_t>* rows,
+                        int64_t num_rows) {
+  FlatColumn out;
+  if (!src.flat() || num_rows == 0) return out;
+  out.rep = src.rep;
+  switch (src.rep) {
+    case FlatColumn::Rep::kInt64:
+      out.i64 = TakeOrCopy(src.i64, rows);
+      break;
+    case FlatColumn::Rep::kFloat64:
+      out.f64 = TakeOrCopy(src.f64, rows);
+      break;
+    case FlatColumn::Rep::kDict:
+      out.codes = TakeOrCopy(src.codes, rows);
+      out.dict = src.dict;
+      break;
+    case FlatColumn::Rep::kNone:
+      break;
+  }
+  if (src.has_nulls) {
+    out.nulls = TakeOrCopy(src.nulls, rows);
+    out.has_nulls = std::find(out.nulls.begin(), out.nulls.end(), 1) != out.nulls.end();
+    if (!out.has_nulls) out.nulls = {};
+  }
+  return out;
+}
+
+}  // namespace
+
+std::shared_ptr<const TableAccel> TableAccel::Gather(const TableAccel& src,
+                                                     const std::vector<int>& cols,
+                                                     const std::vector<int64_t>* rows) {
+  auto accel = std::make_shared<TableAccel>();
+  accel->num_rows = rows == nullptr ? src.num_rows : static_cast<int64_t>(rows->size());
+  accel->cols.reserve(cols.size());
+  for (int c : cols) {
+    accel->cols.push_back(
+        GatherColumn(src.cols[static_cast<size_t>(c)], rows, accel->num_rows));
+  }
+  return accel;
+}
+
 int64_t TableAccel::ApproxBytes() const {
   int64_t bytes = 0;
   for (const FlatColumn& col : cols) {
@@ -98,7 +152,6 @@ int64_t TableAccel::ApproxBytes() const {
     bytes += static_cast<int64_t>(col.f64.capacity() * sizeof(double));
     bytes += static_cast<int64_t>(col.codes.capacity() * sizeof(int32_t));
     bytes += static_cast<int64_t>(col.nulls.capacity());
-    if (col.dict != nullptr) bytes += col.dict->ApproxBytes();
   }
   return bytes;
 }

@@ -43,17 +43,31 @@ struct FlatColumn {
   bool flat() const { return rep != Rep::kNone; }
 };
 
-/// Immutable per-table bundle of FlatColumns, built once at load time
-/// (TableBuilder::Finish, the CSV loader) and cached on the Table behind a
-/// shared_ptr. Tables assembled through mutators (operator outputs) simply
-/// have no accelerator and scan through the Value path; every Table mutator
-/// drops the cache so a stale mirror can never be read.
+/// Immutable per-table bundle of FlatColumns, cached on the Table behind a
+/// shared_ptr. Loaded tables build it once (TableBuilder::Finish, the CSV
+/// loader); the column-wise operators (table_ops.h GatherColumns: filter,
+/// distinct, sort, column projection) gather it alongside the cells, so
+/// their outputs stay SIMD-ready. Tables assembled row by row have none and
+/// scan through the Value path; every Table row mutator drops the cache so a
+/// stale mirror can never be read.
 struct TableAccel {
   std::vector<FlatColumn> cols;
   int64_t num_rows = 0;
 
   static std::shared_ptr<const TableAccel> Build(const Table& table);
 
+  /// The mirror of GatherColumns(t, cols, ..., rows) when `src` mirrors t:
+  /// column i mirrors src column cols[i], restricted to `rows` in that
+  /// order (every row when `rows` is null). Payloads are copied,
+  /// dictionaries shared; an empty result has only kNone columns, as Build
+  /// gives, and the null bytemap is kept only if a gathered row is NULL.
+  static std::shared_ptr<const TableAccel> Gather(const TableAccel& src,
+                                                  const std::vector<int>& cols,
+                                                  const std::vector<int64_t>* rows);
+
+  /// Bytes of the payload arrays (i64, f64, codes, nulls). Dictionaries are
+  /// shared between a table and the tables gathered from it, so they are
+  /// not counted here.
   int64_t ApproxBytes() const;
 };
 

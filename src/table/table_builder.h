@@ -31,8 +31,8 @@ class TableBuilder {
   void Reserve(int64_t rows) { table_.Reserve(rows); }
 
   /// Builds the typed columnar accelerator as part of finishing, so every
-  /// loaded/generated table arrives SIMD-ready (operator outputs, which
-  /// bypass the builder, simply have none).
+  /// loaded/generated table arrives SIMD-ready. Operator outputs bypass the
+  /// builder; the column-wise ones gather their input's mirror instead.
   Table Finish() && {
     table_.RebuildAccel();
     return std::move(table_);

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "common/logging.h"
+#include "table/table_accel.h"
 
 namespace mdjoin {
 
@@ -35,27 +37,186 @@ Result<Table> SortTableBy(const Table& t, const std::vector<std::string>& column
   return SortTable(t, keys);
 }
 
-Table Distinct(const Table& t) {
-  std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
-  Table out(t.schema());
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    if (seen.insert(t.GetRow(r)).second) out.AppendRowFrom(t, r);
-  }
-  return out;
+namespace {
+
+std::vector<int> AllColumns(const Table& t) {
+  std::vector<int> cols(static_cast<size_t>(t.num_columns()));
+  std::iota(cols.begin(), cols.end(), 0);
+  return cols;
 }
+
+inline uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+/// One key column as DistinctRowIndices reads it. Equality within a column
+/// is Value::Equals: a flat column holds one storage type, so int64 and
+/// dictionary-code payloads compare exactly (dictionary NULL slots hold code
+/// -1), and float64 payloads compare by IEEE ==, which makes -0 equal +0 and
+/// NaN equal to nothing. Null slots of int64/float64 payloads hold 0, so the
+/// null byte joins the comparison. Equal keys hash alike.
+struct KeyColumn {
+  FlatColumn::Rep rep = FlatColumn::Rep::kNone;
+  const int64_t* i64 = nullptr;
+  const double* f64 = nullptr;
+  const int32_t* codes = nullptr;
+  const uint8_t* nulls = nullptr;  // null when the column holds no NULL
+  const Value* cells = nullptr;
+
+  bool IsNull(int64_t r) const { return nulls != nullptr && nulls[r] != 0; }
+
+  /// Mixes rows [start, start + n)'s hashes of this column into `h`.
+  void MixHashes(int64_t start, int64_t n, uint64_t* h) const {
+    auto mix = [&](auto&& hash_of) {
+      for (int64_t i = 0; i < n; ++i) h[i] = Mix64(h[i] ^ hash_of(start + i));
+    };
+    switch (rep) {
+      case FlatColumn::Rep::kInt64:
+        return mix([&](int64_t r) {
+          return IsNull(r) ? uint64_t{1} : static_cast<uint64_t>(i64[r]);
+        });
+      case FlatColumn::Rep::kFloat64:
+        return mix([&](int64_t r) {
+          if (IsNull(r)) return uint64_t{1};
+          const double d = f64[r] == 0.0 ? 0.0 : f64[r];  // -0 hashes as +0
+          uint64_t bits;
+          std::memcpy(&bits, &d, sizeof(bits));
+          return bits;
+        });
+      case FlatColumn::Rep::kDict:
+        return mix([&](int64_t r) { return static_cast<uint64_t>(int64_t{codes[r]}); });
+      case FlatColumn::Rep::kNone:
+        return mix([&](int64_t r) { return static_cast<uint64_t>(cells[r].Hash()); });
+    }
+  }
+
+  bool Equal(int64_t a, int64_t b) const {
+    switch (rep) {
+      case FlatColumn::Rep::kInt64:
+        return i64[a] == i64[b] && IsNull(a) == IsNull(b);
+      case FlatColumn::Rep::kFloat64:
+        return f64[a] == f64[b] && IsNull(a) == IsNull(b);
+      case FlatColumn::Rep::kDict:
+        return codes[a] == codes[b];
+      case FlatColumn::Rep::kNone:
+        break;
+    }
+    return cells[a].Equals(cells[b]);
+  }
+};
+
+}  // namespace
+
+std::vector<int64_t> DistinctRowIndices(const Table& t, const std::vector<int>& cols) {
+  std::vector<KeyColumn> keys(cols.size());
+  for (size_t k = 0; k < cols.size(); ++k) {
+    KeyColumn& key = keys[k];
+    const int c = cols[k];
+    key.cells = t.column(c).data();
+    if (t.accel() == nullptr) continue;
+    const FlatColumn& fc = t.accel()->cols[static_cast<size_t>(c)];
+    key.rep = fc.rep;
+    key.i64 = fc.i64.data();
+    key.f64 = fc.f64.data();
+    key.codes = fc.codes.data();
+    key.nulls = fc.null_bytes();
+  }
+  auto rows_equal = [&](int64_t a, int64_t b) {
+    for (const KeyColumn& key : keys) {
+      if (!key.Equal(a, b)) return false;
+    }
+    return true;
+  };
+
+  // Open-addressing set of kept row indices, each slot with its row's hash.
+  // A row is kept iff no kept row is equal to it, so the first occurrence
+  // of every key survives, in R's order.
+  std::vector<int64_t> kept;
+  std::vector<int64_t> slot_row(1024, -1);
+  std::vector<uint64_t> slot_hash(slot_row.size());
+  uint64_t mask = slot_row.size() - 1;
+  auto insert_slot = [&](int64_t row, uint64_t h) {
+    uint64_t i = h & mask;
+    while (slot_row[i] >= 0) i = (i + 1) & mask;
+    slot_row[i] = row;
+    slot_hash[i] = h;
+  };
+
+  // Hashes are built a block at a time, one key column after another.
+  constexpr int64_t kBlock = 1024;
+  std::vector<uint64_t> hashes(static_cast<size_t>(kBlock));
+  for (int64_t start = 0; start < t.num_rows(); start += kBlock) {
+    const int64_t n = std::min(kBlock, t.num_rows() - start);
+    std::fill(hashes.begin(), hashes.begin() + n, 0x9e3779b97f4a7c15ULL);
+    for (const KeyColumn& key : keys) key.MixHashes(start, n, hashes.data());
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t row = start + i;
+      const uint64_t h = hashes[i];
+      bool found = false;
+      for (uint64_t s = h & mask; slot_row[s] >= 0; s = (s + 1) & mask) {
+        if (slot_hash[s] == h && rows_equal(slot_row[s], row)) {
+          found = true;
+          break;
+        }
+      }
+      if (found) continue;
+      kept.push_back(row);
+      if (2 * kept.size() > slot_row.size()) {
+        const size_t grown = slot_row.size() * 2;
+        std::vector<int64_t> old_rows =
+            std::exchange(slot_row, std::vector<int64_t>(grown, -1));
+        std::vector<uint64_t> old_hashes =
+            std::exchange(slot_hash, std::vector<uint64_t>(grown));
+        mask = grown - 1;
+        for (size_t s = 0; s < old_rows.size(); ++s) {
+          if (old_rows[s] >= 0) insert_slot(old_rows[s], old_hashes[s]);
+        }
+      }
+      insert_slot(row, h);
+    }
+  }
+  return kept;
+}
+
+Table GatherColumns(const Table& t, const std::vector<int>& cols, std::vector<Field> fields,
+                    const std::vector<int64_t>* rows) {
+  const int64_t n = rows == nullptr ? t.num_rows() : static_cast<int64_t>(rows->size());
+  std::vector<std::vector<Value>> columns(cols.size());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const std::vector<Value>& src = t.column(cols[i]);
+    if (rows == nullptr) {
+      columns[i] = src;
+      continue;
+    }
+    columns[i].reserve(static_cast<size_t>(n));
+    for (int64_t r : *rows) columns[i].push_back(src[static_cast<size_t>(r)]);
+  }
+  std::shared_ptr<const TableAccel> accel;
+  if (t.accel() != nullptr) {
+    bool identity = rows == nullptr && static_cast<int>(cols.size()) == t.num_columns();
+    for (size_t i = 0; identity && i < cols.size(); ++i) {
+      identity = cols[i] == static_cast<int>(i);
+    }
+    accel = identity ? t.accel() : TableAccel::Gather(*t.accel(), cols, rows);
+  }
+  return Table::FromColumns(Schema(std::move(fields)), std::move(columns), n,
+                            std::move(accel));
+}
+
+Table Distinct(const Table& t) { return TakeRows(t, DistinctRowIndices(t, AllColumns(t))); }
 
 Result<Table> DistinctOn(const Table& t, const std::vector<std::string>& columns) {
   MDJ_ASSIGN_OR_RETURN(std::vector<int> cols, ResolveColumns(t.schema(), columns));
   std::vector<Field> fields;
   fields.reserve(cols.size());
   for (int c : cols) fields.push_back(t.schema().field(c));
-  Table out{Schema(std::move(fields))};
-  std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    RowKey key = t.GetRowKey(r, cols);
-    if (seen.insert(key).second) out.AppendRowUnchecked(std::move(key));
-  }
-  return out;
+  const std::vector<int64_t> rows = DistinctRowIndices(t, cols);
+  return GatherColumns(t, cols, std::move(fields), &rows);
 }
 
 Result<Table> Concat(const Table& a, const Table& b) {
@@ -88,10 +249,7 @@ Result<Table> ConcatAll(const std::vector<const Table*>& tables) {
 }
 
 Table TakeRows(const Table& t, const std::vector<int64_t>& rows) {
-  Table out(t.schema());
-  out.Reserve(static_cast<int64_t>(rows.size()));
-  for (int64_t r : rows) out.AppendRowFrom(t, r);
-  return out;
+  return GatherColumns(t, AllColumns(t), t.schema().fields(), &rows);
 }
 
 std::vector<Table> PartitionIntoN(const Table& t, int n) {
@@ -247,18 +405,13 @@ Result<Table> RenameColumns(const Table& t, const std::vector<std::string>& from
     MDJ_ASSIGN_OR_RETURN(int idx, t.schema().GetFieldIndex(from[i]));
     fields[idx].name = to[i];
   }
-  Table out = t.Clone();
-  Table renamed{Schema(std::move(fields))};
-  for (int64_t r = 0; r < out.num_rows(); ++r) renamed.AppendRowFrom(out, r);
-  return renamed;
+  return GatherColumns(t, AllColumns(t), std::move(fields));
 }
 
 Table PrefixColumns(const Table& t, const std::string& prefix) {
   std::vector<Field> fields = t.schema().fields();
   for (Field& f : fields) f.name = prefix + f.name;
-  Table out{Schema(std::move(fields))};
-  for (int64_t r = 0; r < t.num_rows(); ++r) out.AppendRowFrom(t, r);
-  return out;
+  return GatherColumns(t, AllColumns(t), std::move(fields));
 }
 
 }  // namespace mdjoin

@@ -28,6 +28,24 @@ Result<Table> SortTableBy(const Table& t, const std::vector<std::string>& column
 /// Row indices of `t` in sorted order (stable), without materializing.
 std::vector<int64_t> SortedRowIndices(const Table& t, const std::vector<SortKey>& keys);
 
+/// The one distinct-key kernel: indices of the rows of `t` that hold the
+/// first occurrence of their key over `cols`, ascending. Keys compare
+/// column-wise by Value::Equals (NULL equals NULL, -0 equals +0, NaN equals
+/// nothing, so every NaN row is its own key). Each key column reads its
+/// typed payload (int64, float64, or dictionary code plus null byte) when
+/// `t` carries a mirror for it, and its Value cells otherwise (ALL, mixed
+/// types, no mirror). With no key columns every row shares one key.
+std::vector<int64_t> DistinctRowIndices(const Table& t, const std::vector<int>& cols);
+
+/// The one column-copy routine: a table over `fields` (one per entry of
+/// `cols`; names may differ from t's) whose column i is column cols[i] of
+/// `t`, restricted to `rows` in that order, or every row when `rows` is
+/// null. Cells are copied column by column, and t's typed mirror comes
+/// along (payloads gathered, dictionaries shared; shared outright when the
+/// columns and rows are all of t's), so outputs stay SIMD-ready.
+Table GatherColumns(const Table& t, const std::vector<int>& cols, std::vector<Field> fields,
+                    const std::vector<int64_t>* rows = nullptr);
+
 /// Distinct rows over all columns (first occurrence kept, original order).
 Table Distinct(const Table& t);
 

@@ -464,6 +464,41 @@ TEST_F(GuardrailTest, ExecutorChargesOnlyWhatItMaterializes) {
   EXPECT_EQ(stats.rows_materialized, base.num_rows());
 }
 
+TEST_F(GuardrailTest, MaterializedFilterChargeIncludesItsMirror) {
+  // A Filter over a catalog table keeps the typed mirror, so the guard's
+  // charge for its output covers the mirror's payload arrays (i64, f64,
+  // codes, nulls) as well as the cells. The shared dictionary is not charged.
+  Table sales = testutil::RandomSales(63, 3000);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
+  const ExprPtr pred = And(Eq(RCol("state"), Lit("NY")), Gt(RCol("sale"), Lit(100)));
+  QueryGuard guard;
+  MdJoinOptions options;
+  options.guard = &guard;
+  Result<Table> out = ExecutePlan(FilterPlan(TableRef("Sales"), pred), catalog, options);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_GT(out->num_rows(), 0);
+  ASSERT_NE(out->accel(), nullptr);
+
+  int64_t payload = 0;
+  for (const FlatColumn& fc : out->accel()->cols) {
+    payload += static_cast<int64_t>(fc.i64.capacity() * sizeof(int64_t) +
+                                    fc.f64.capacity() * sizeof(double) +
+                                    fc.codes.capacity() * sizeof(int32_t) +
+                                    fc.nulls.capacity());
+  }
+  EXPECT_GT(payload, 0);
+  Table cells_only(out->schema());
+  cells_only.Reserve(out->num_rows());
+  for (int64_t r = 0; r < out->num_rows(); ++r) cells_only.AppendRowFrom(*out, r);
+  ASSERT_EQ(cells_only.accel(), nullptr);
+  // The output's cells were gathered into exactly-sized columns, as were
+  // cells_only's, so the two charges differ by the payload arrays alone.
+  EXPECT_EQ(guard.bytes_high_water(), out->ApproxBytes());
+  EXPECT_EQ(guard.bytes_high_water(), cells_only.ApproxBytes() + payload);
+  EXPECT_EQ(guard.bytes_reserved(), 0);
+}
+
 TEST_F(GuardrailTest, IncrementalMaintenanceObservesGuard) {
   Table sales = testutil::RandomSales(63, 200);
   Table base = *GroupByBase(sales, {"cust"});

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <numeric>
+#include <unordered_set>
+
+#include "common/random.h"
+#include "cube/base_tables.h"
 #include "table/csv.h"
 #include "table/table.h"
 #include "table/table_builder.h"
@@ -191,6 +198,248 @@ TEST(TableOpsTest, PrefixColumns) {
   EXPECT_EQ(prefixed.schema().field(0).name, "S.k");
   EXPECT_EQ(prefixed.schema().field(1).name, "S.v");
   EXPECT_EQ(prefixed.num_rows(), 4);
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests for the typed distinct kernel and the column gather:
+// every result against a RowKey-set reference kept here only, rows and order
+// bit-identical, with NULL, ALL, NaN, ±0, int64 values near 2^53, dictionary
+// strings, mixed-type columns and empty input.
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+/// Columns i (int64), f (float64) and s (string) flatten; m (mixed types)
+/// and a (int64 with ALL) stay on the Value path. Small pools make
+/// duplicate keys common. Without `mirror` no column has a typed payload.
+Table KeyTable(uint64_t seed, int64_t rows, bool mirror) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> ints = {NUL(), I(0), I(-1), I(7), I(kTwo53), I(kTwo53 + 1),
+                                   I(kTwo53 - 1), I(std::numeric_limits<int64_t>::min()),
+                                   I(std::numeric_limits<int64_t>::max())};
+  const std::vector<Value> floats = {NUL(), F(0.0), F(-0.0), F(nan), F(-nan), F(1.5),
+                                     F(static_cast<double>(kTwo53)),
+                                     F(std::numeric_limits<double>::infinity())};
+  const std::vector<Value> strings = {NUL(), S(""), S("a"), S("b"), S("NY"),
+                                      S("a string longer than the small buffer")};
+  const std::vector<Value> mixed = {NUL(), ALL(), I(kTwo53), I(kTwo53 + 1),
+                                    F(static_cast<double>(kTwo53)), F(-0.0), F(0.0),
+                                    I(0), F(nan), S("a")};
+  const std::vector<Value> with_all = {ALL(), NUL(), I(1), I(2)};
+  Table t(Schema({{"i", DataType::kInt64},
+                  {"f", DataType::kFloat64},
+                  {"s", DataType::kString},
+                  {"m", DataType::kFloat64},
+                  {"a", DataType::kInt64}}));
+  Random rng(seed);
+  auto pick = [&rng](const std::vector<Value>& pool) { return pool[rng.Uniform(pool.size())]; };
+  for (int64_t r = 0; r < rows; ++r) {
+    t.AppendRowUnchecked(
+        {pick(ints), pick(floats), pick(strings), pick(mixed), pick(with_all)});
+  }
+  if (mirror) t.RebuildAccel();
+  return t;
+}
+
+/// select distinct `cols` from t, first occurrence kept, through a RowKey set.
+Table ReferenceDistinctOn(const Table& t, const std::vector<int>& cols) {
+  std::vector<Field> fields;
+  for (int c : cols) fields.push_back(t.schema().field(c));
+  Table out{Schema(std::move(fields))};
+  std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    RowKey key = t.GetRowKey(r, cols);
+    if (seen.insert(key).second) out.AppendRowUnchecked(std::move(key));
+  }
+  return out;
+}
+
+/// The `mask` cuboid over `dims` (which are t's first columns, in order).
+void AppendReferenceCuboid(const Table& t, size_t num_dims, CuboidMask mask, Table* out) {
+  std::vector<int> cols;
+  for (size_t i = 0; i < num_dims; ++i) {
+    if (mask & (CuboidMask{1} << i)) cols.push_back(static_cast<int>(i));
+  }
+  const Table keys = ReferenceDistinctOn(t, cols);
+  for (int64_t r = 0; r < keys.num_rows(); ++r) {
+    std::vector<Value> row(num_dims, ALL());
+    for (size_t k = 0; k < cols.size(); ++k) {
+      row[static_cast<size_t>(cols[k])] = keys.Get(r, static_cast<int>(k));
+    }
+    out->AppendRowUnchecked(std::move(row));
+  }
+}
+
+/// t's `dims` columns, in that order (the layout of a base table over dims).
+Table DimColumns(const Table& t, const std::vector<std::string>& dims) {
+  const std::vector<int> cols = *ResolveColumns(t.schema(), dims);
+  std::vector<Field> fields;
+  for (int c : cols) fields.push_back(t.schema().field(c));
+  return GatherColumns(t, cols, std::move(fields));
+}
+
+std::vector<std::vector<std::string>> KeyColumnSets() {
+  return {{"i"}, {"f"}, {"s"}, {"m"}, {"a"}, {"f", "s"}, {"i", "m"}, {"a", "f", "i"},
+          {"s", "f", "m", "a", "i"}, {}};
+}
+
+TEST(DistinctKernelTest, FixtureExercisesEveryColumnPath) {
+  Table t = KeyTable(1, 64, /*mirror=*/true);
+  ASSERT_NE(t.accel(), nullptr);
+  EXPECT_EQ(t.accel()->cols[0].rep, FlatColumn::Rep::kInt64);
+  EXPECT_EQ(t.accel()->cols[1].rep, FlatColumn::Rep::kFloat64);
+  EXPECT_EQ(t.accel()->cols[2].rep, FlatColumn::Rep::kDict);
+  EXPECT_EQ(t.accel()->cols[3].rep, FlatColumn::Rep::kNone);
+  EXPECT_EQ(t.accel()->cols[4].rep, FlatColumn::Rep::kNone);
+}
+
+TEST(DistinctKernelTest, SignedZerosAndNaNFollowValueEquals) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (bool mirror : {true, false}) {
+    Table t(Schema({{"f", DataType::kFloat64}}));
+    for (double v : {-0.0, 0.0, nan, nan, -0.0, 1.0}) t.AppendRowUnchecked({F(v)});
+    if (mirror) t.RebuildAccel();
+    // -0 and +0 are one key and the first occurrence's sign is kept; NaN
+    // equals nothing, so each NaN row is its own key.
+    EXPECT_EQ(DistinctRowIndices(t, {0}), (std::vector<int64_t>{0, 2, 3, 5}));
+    const Table d = Distinct(t);
+    EXPECT_TRUE(std::signbit(d.Get(0, 0).float64()));
+    EXPECT_TRUE(testutil::TablesBitIdentical(d, ReferenceDistinctOn(t, {0})));
+  }
+}
+
+TEST(DistinctKernelTest, DistinctAndDistinctOnMatchRowKeyReference) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    for (int64_t rows : {0, 1, 7, 300, 3000}) {
+      for (bool mirror : {true, false}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " rows " + std::to_string(rows) +
+                     (mirror ? " mirror" : " cells"));
+        const Table t = KeyTable(seed, rows, mirror);
+        const Table all = Distinct(t);
+        EXPECT_TRUE(testutil::TablesBitIdentical(all, ReferenceDistinctOn(t, {0, 1, 2, 3, 4})));
+        EXPECT_TRUE(testutil::MirrorAgreesWithCells(all));
+        EXPECT_EQ(all.accel() != nullptr, mirror);
+        for (const auto& names : KeyColumnSets()) {
+          Result<Table> got = DistinctOn(t, names);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const std::vector<int> cols = *ResolveColumns(t.schema(), names);
+          EXPECT_TRUE(testutil::TablesBitIdentical(*got, ReferenceDistinctOn(t, cols)));
+          EXPECT_TRUE(testutil::MirrorAgreesWithCells(*got));
+        }
+      }
+    }
+  }
+}
+
+TEST(DistinctKernelTest, CuboidAndCubeBasesMatchRowKeyReference) {
+  const std::vector<std::vector<std::string>> dim_lists = {
+      {"i", "f", "s"}, {"m", "s"}, {"a", "f"}, {"s"}};
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (int64_t rows : {0, 5, 400}) {
+      for (bool mirror : {true, false}) {
+        const Table t = KeyTable(seed, rows, mirror);
+        for (const auto& dims : dim_lists) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " rows " + std::to_string(rows) +
+                       " dims " + std::to_string(dims.size()));
+          const CubeLattice lattice = *CubeLattice::Make(dims);
+          const Table by_dims = DimColumns(t, dims);
+          for (CuboidMask mask = 0; mask <= lattice.full_cuboid(); ++mask) {
+            Table expected{by_dims.schema()};
+            AppendReferenceCuboid(by_dims, dims.size(), mask, &expected);
+            Result<Table> got = CuboidBase(t, lattice, mask);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            EXPECT_TRUE(testutil::TablesBitIdentical(*got, expected));
+          }
+          // CubeByBase: one distinct pass for the finest cuboid, every
+          // coarser cuboid derived from it, finest first.
+          std::vector<int> all_dims(dims.size());
+          std::iota(all_dims.begin(), all_dims.end(), 0);
+          const Table finest = ReferenceDistinctOn(by_dims, all_dims);
+          Table expected{by_dims.schema()};
+          for (int level = lattice.num_dims(); level >= 0; --level) {
+            for (CuboidMask mask : lattice.CuboidsAtLevel(level)) {
+              AppendReferenceCuboid(finest, dims.size(), mask, &expected);
+            }
+          }
+          Result<Table> got = CubeByBase(t, dims);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_TRUE(testutil::TablesBitIdentical(*got, expected));
+        }
+      }
+    }
+  }
+}
+
+TEST(DistinctKernelTest, GatheredAndCopiedMirrorsAgreeWithCells) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const Table t = KeyTable(seed, 500, /*mirror=*/true);
+    Random rng(seed);
+    std::vector<int64_t> rows;
+    for (int k = 0; k < 200; ++k) rows.push_back(static_cast<int64_t>(rng.Uniform(500)));
+    const Table taken = TakeRows(t, rows);
+    ASSERT_NE(taken.accel(), nullptr);
+    EXPECT_TRUE(testutil::MirrorAgreesWithCells(taken));
+    for (size_t k = 0; k < rows.size(); ++k) {
+      for (int c = 0; c < t.num_columns(); ++c) {
+        ASSERT_TRUE(testutil::BitEq(taken.Get(static_cast<int64_t>(k), c),
+                                    t.Get(rows[k], c)));
+      }
+    }
+    // A gathered dictionary column shares its parent's dictionary.
+    EXPECT_EQ(taken.accel()->cols[2].dict, t.accel()->cols[2].dict);
+
+    const Table sorted = SortTable(t, {{1, true}, {2, false}});
+    EXPECT_TRUE(testutil::MirrorAgreesWithCells(sorted));
+    EXPECT_NE(sorted.accel(), nullptr);
+
+    const Table renamed = *RenameColumns(t, {"i", "s"}, {"x", "y"});
+    EXPECT_EQ(renamed.accel(), t.accel());  // every column, every row: shared
+    EXPECT_EQ(renamed.schema().field(0).name, "x");
+    EXPECT_TRUE(testutil::MirrorAgreesWithCells(renamed));
+    const Table prefixed = PrefixColumns(t, "S.");
+    EXPECT_TRUE(testutil::MirrorAgreesWithCells(prefixed));
+    EXPECT_EQ(prefixed.schema().field(4).name, "S.a");
+
+    const Table picked = GatherColumns(t, {2, 0, 2}, {{"s1", DataType::kString},
+                                                      {"i", DataType::kInt64},
+                                                      {"s2", DataType::kString}});
+    EXPECT_TRUE(testutil::MirrorAgreesWithCells(picked));
+    EXPECT_EQ(picked.num_rows(), t.num_rows());
+    EXPECT_EQ(picked.accel()->cols[0].rep, FlatColumn::Rep::kDict);
+
+    // A NULL-free selection drops the null bytemap it no longer needs; an
+    // empty one carries no typed payloads at all.
+    std::vector<int64_t> non_null;
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      if (!t.Get(r, 0).is_null()) non_null.push_back(r);
+    }
+    ASSERT_TRUE(t.accel()->cols[0].has_nulls);
+    const Table dense = TakeRows(t, non_null);
+    EXPECT_FALSE(dense.accel()->cols[0].has_nulls);
+    EXPECT_TRUE(dense.accel()->cols[0].nulls.empty());
+    EXPECT_TRUE(testutil::MirrorAgreesWithCells(dense));
+    const Table none = TakeRows(t, {});
+    ASSERT_NE(none.accel(), nullptr);
+    for (const FlatColumn& fc : none.accel()->cols) EXPECT_FALSE(fc.flat());
+  }
+}
+
+TEST(DistinctKernelTest, ApproxBytesCountsMirrorPayloadsNotDictionaries) {
+  const Table t = KeyTable(3, 1000, /*mirror=*/true);
+  Table cells_only(t.schema());
+  for (int64_t r = 0; r < t.num_rows(); ++r) cells_only.AppendRowFrom(t, r);
+  ASSERT_EQ(cells_only.accel(), nullptr);
+  const auto& cols = t.accel()->cols;
+  const int64_t payload =
+      static_cast<int64_t>(cols[0].i64.capacity() * sizeof(int64_t) +
+                           cols[1].f64.capacity() * sizeof(double) +
+                           cols[2].codes.capacity() * sizeof(int32_t) +
+                           cols[0].nulls.capacity() + cols[1].nulls.capacity() +
+                           cols[2].nulls.capacity());
+  ASSERT_GT(payload, 0);
+  EXPECT_EQ(t.accel()->ApproxBytes(), payload);
+  // Both tables grew their cells row by row, so they differ by exactly the
+  // mirror's payload arrays; its dictionary is not counted.
+  EXPECT_EQ(t.ApproxBytes(), cells_only.ApproxBytes() + payload);
 }
 
 TEST(PrinterTest, RendersGridWithAllAndNull) {

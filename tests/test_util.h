@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "core/generalized.h"
 #include "core/reference.h"
+#include "table/table_accel.h"
 #include "table/table_builder.h"
 
 namespace mdjoin {
@@ -107,6 +108,55 @@ inline ::testing::AssertionResult TablesBitIdentical(const Table& a, const Table
         return ::testing::AssertionFailure()
                << "cell (" << r << ", " << c << ") differs: "
                << a.Get(r, c).ToString() << " vs " << b.Get(r, c).ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Checks `t`'s typed mirror, when it has one, cell by cell against its
+/// Value cells: a flat column's payload (int64, float64 by bit pattern, or
+/// the string its dictionary code decodes to) and null byte must agree with
+/// every cell, so no engine fast path can read a value the cells do not
+/// hold.
+inline ::testing::AssertionResult MirrorAgreesWithCells(const Table& t) {
+  const auto& accel = t.accel();
+  if (accel == nullptr) return ::testing::AssertionSuccess();
+  if (accel->num_rows != t.num_rows() ||
+      static_cast<int>(accel->cols.size()) != t.num_columns()) {
+    return ::testing::AssertionFailure() << "mirror shape differs from the table";
+  }
+  for (int c = 0; c < t.num_columns(); ++c) {
+    const FlatColumn& fc = accel->cols[static_cast<size_t>(c)];
+    if (!fc.flat()) continue;
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      const Value& v = t.Get(r, c);
+      const size_t i = static_cast<size_t>(r);
+      const bool null = fc.has_nulls && fc.nulls[i] != 0;
+      Value mirrored = Value::Null();
+      if (!null) {
+        switch (fc.rep) {
+          case FlatColumn::Rep::kInt64:
+            mirrored = Value::Int64(fc.i64[i]);
+            break;
+          case FlatColumn::Rep::kFloat64:
+            mirrored = Value::Float64(fc.f64[i]);
+            break;
+          case FlatColumn::Rep::kDict:
+            if (fc.codes[i] < 0 || fc.codes[i] >= fc.dict->size()) {
+              return ::testing::AssertionFailure()
+                     << "cell (" << r << ", " << c << ") has code " << fc.codes[i];
+            }
+            mirrored = Value::String(fc.dict->Decode(fc.codes[i]));
+            break;
+          case FlatColumn::Rep::kNone:
+            break;
+        }
+      }
+      if (!BitEq(v, mirrored)) {
+        return ::testing::AssertionFailure()
+               << "cell (" << r << ", " << c << ") is " << v.ToString()
+               << " but its mirror holds " << mirrored.ToString();
       }
     }
   }
