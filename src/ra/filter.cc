@@ -28,7 +28,9 @@ Result<Table> Filter(const Table& t, const ExprPtr& predicate) {
     const int n = static_cast<int>(std::min<int64_t>(kBlock, t.num_rows() - start));
     const BlockFilter f =
         kernels.FilterBlock(t, start, n, sel.data(), mask.data(), &stats);
-    for (int i = 0; i < f.count; ++i) rows.push_back(start + (f.dense ? i : sel[i]));
+    for (int i = 0; i < f.count; ++i) {
+      rows.push_back(start + (f.dense ? i : static_cast<int>(sel[static_cast<size_t>(i)])));
+    }
   }
   return TakeRows(t, rows);
 }

@@ -114,8 +114,8 @@ ExprPtr RandomPredicate(Random* rng) {
       case 1:
         return compare();
       case 2: {
-        std::vector<Value> candidates;
-        for (uint64_t k = 0, n = 1 + rng->Uniform(3); k < n; ++k) candidates.push_back(lit());
+        std::vector<Value> candidates(1 + rng->Uniform(3));
+        for (Value& c : candidates) c = lit();
         return In(col(), std::move(candidates));
       }
       case 3:
@@ -171,6 +171,7 @@ TEST(FilterDifferentialTest, MatchesRowAtATimeInterpreter) {
 /// Project evaluated one row at a time through the reference interpreter.
 Table ReferenceProject(const Table& t, const std::vector<ProjectItem>& items) {
   std::vector<Field> fields;
+  fields.reserve(items.size());
   for (const ProjectItem& item : items) {
     fields.push_back(Field{item.name, CompileExpr(item.expr, t.schema())->result_type()});
   }
@@ -180,6 +181,7 @@ Table ReferenceProject(const Table& t, const std::vector<ProjectItem>& items) {
     ctx.detail = &t;
     ctx.detail_row = r;
     std::vector<Value> row;
+    row.reserve(items.size());
     for (const ProjectItem& item : items) row.push_back(*InterpretExpr(*item.expr, ctx));
     out.AppendRowUnchecked(std::move(row));
   }

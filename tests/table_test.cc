@@ -243,6 +243,7 @@ Table KeyTable(uint64_t seed, int64_t rows, bool mirror) {
 /// select distinct `cols` from t, first occurrence kept, through a RowKey set.
 Table ReferenceDistinctOn(const Table& t, const std::vector<int>& cols) {
   std::vector<Field> fields;
+  fields.reserve(cols.size());
   for (int c : cols) fields.push_back(t.schema().field(c));
   Table out{Schema(std::move(fields))};
   std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
@@ -273,6 +274,7 @@ void AppendReferenceCuboid(const Table& t, size_t num_dims, CuboidMask mask, Tab
 Table DimColumns(const Table& t, const std::vector<std::string>& dims) {
   const std::vector<int> cols = *ResolveColumns(t.schema(), dims);
   std::vector<Field> fields;
+  fields.reserve(cols.size());
   for (int c : cols) fields.push_back(t.schema().field(c));
   return GatherColumns(t, cols, std::move(fields));
 }
@@ -374,6 +376,7 @@ TEST(DistinctKernelTest, GatheredAndCopiedMirrorsAgreeWithCells) {
     const Table t = KeyTable(seed, 500, /*mirror=*/true);
     Random rng(seed);
     std::vector<int64_t> rows;
+    rows.reserve(200);
     for (int k = 0; k < 200; ++k) rows.push_back(static_cast<int64_t>(rng.Uniform(500)));
     const Table taken = TakeRows(t, rows);
     ASSERT_NE(taken.accel(), nullptr);
