@@ -61,7 +61,7 @@ void BM_AnswerAllFromDetail(benchmark::State& state) {
   for (auto _ : state) {
     int64_t total_rows = 0;
     for (CuboidMask target : lattice.AllCuboids()) {
-      Table base = *CuboidBase(sales, lattice, target);
+      Table base = *GroupingSetsBase(sales, lattice.dims(), {target});
       Table answer = *MdJoin(base, sales, aggs, theta);
       total_rows += answer.num_rows();
     }

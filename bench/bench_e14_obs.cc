@@ -80,7 +80,9 @@ void BM_CubeExplainAnalyze(benchmark::State& state) {
     return;
   }
   PlanPtr plan = MdJoinPlan(
-      CubeBasePlan(TableRef("Sales"), {"prod", "month"}), TableRef("Sales"),
+      GroupingSetsPlan(TableRef("Sales"), {"prod", "month"},
+                       CubeLattice::Make({"prod", "month"})->CubeOrder()),
+      TableRef("Sales"),
       {Sum(dsl::RCol("sale"), "total"), Count("n")},
       DimsTheta({"prod", "month"}));
   for (auto _ : state) {

@@ -53,7 +53,7 @@ constexpr int64_t kRows = 100000;
 /// The benchmark's query family: cuboid of `dims` at `mask`, SUM + COUNT —
 /// roll-up certified, so the cache's lattice tier applies.
 PlanPtr CuboidQueryOver(const std::vector<std::string>& dims, CuboidMask mask) {
-  return MdJoinPlan(CuboidBasePlan(TableRef("Sales"), dims, mask), TableRef("Sales"),
+  return MdJoinPlan(GroupingSetsPlan(TableRef("Sales"), dims, {mask}), TableRef("Sales"),
                     {Sum(dsl::RCol("sale"), "total"), Count("n")}, DimsTheta(dims));
 }
 

@@ -34,7 +34,9 @@ using bench::DimsTheta;
 
 PlanPtr CubePlan() {
   return MdJoinPlan(
-      CubeBasePlan(TableRef("Sales"), {"prod", "month"}), TableRef("Sales"),
+      GroupingSetsPlan(TableRef("Sales"), {"prod", "month"},
+                       CubeLattice::Make({"prod", "month"})->CubeOrder()),
+      TableRef("Sales"),
       {Sum(dsl::RCol("sale"), "total"), Count("n")}, DimsTheta({"prod", "month"}));
 }
 

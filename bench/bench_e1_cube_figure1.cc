@@ -12,7 +12,6 @@
 #include "core/mdjoin.h"
 #include "cube/base_tables.h"
 #include "ra/filter.h"
-#include "ra/project.h"
 #include "table/table_ops.h"
 
 namespace mdjoin {
@@ -149,10 +148,10 @@ BENCHMARK(BM_CubeRawSpeed)
 /// picks the generator as the executor runs it:
 ///   0 cube  — CubeByBase over (prod, month): Figure 1's B, one distinct
 ///     pass over R for the finest cuboid, coarser cuboids derived from it.
-///   1 group — group(cust) as the binder lowers it, Distinct(Project(R)):
-///     Example 2.2's B.
+///   1 group — group(cust) as the binder lowers it, a single full-mask
+///     GroupingSets node, GroupByBase(R, {cust}): Example 2.2's B.
 /// Both read the detail table's typed mirror (distinct keys on int64
-/// payloads); the Project copies its column and mirror.
+/// payloads) and copy only the distinct rows.
 void BM_BaseGeneration(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const int arm = static_cast<int>(state.range(1));
@@ -160,7 +159,7 @@ void BM_BaseGeneration(benchmark::State& state) {
   int64_t base_rows = 0;
   for (auto _ : state) {
     Table base = arm == 0 ? *CubeByBase(sales, {"prod", "month"})
-                          : Distinct(*Project(sales, {{dsl::RCol("cust"), "cust"}}));
+                          : *GroupByBase(sales, {"cust"});
     base_rows = base.num_rows();
     benchmark::DoNotOptimize(base_rows);
   }
@@ -178,7 +177,7 @@ void BM_GroupingSetsViaSameOperator(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const Table& sales = CachedSales(rows, 100, 50, 12);
   std::vector<std::string> dims = {"prod", "month", "state"};
-  Table base = *UnpivotBase(sales, dims);
+  Table base = *GroupingSetsBase(sales, dims, {0b001, 0b010, 0b100});
   ExprPtr theta = DimsTheta(dims);
   std::vector<AggSpec> aggs = {Sum(dsl::RCol("sale"), "total"), Count("n")};
   for (auto _ : state) {

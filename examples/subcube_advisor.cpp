@@ -59,7 +59,7 @@ int main() {
                                     Eq(BCol("month"), RCol("month")),
                                     Eq(BCol("state"), RCol("state"))});
   for (CuboidMask target : lattice.AllCuboids()) {
-    Table base = *CuboidBase(sales, lattice, target);
+    Table base = *GroupingSetsBase(sales, lattice.dims(), {target});
     Table answer = *MdJoin(base, sales, aggs, theta);
     answered_rows -= answer.num_rows();  // should cancel to 0
   }
@@ -72,7 +72,7 @@ int main() {
   // EXPLAIN ANALYZE of one equivalent MD-join plan, for the curious.
   Catalog catalog;
   if (!catalog.Register("sales", &sales).ok()) return 1;
-  PlanPtr plan = MdJoinPlan(CuboidBasePlan(TableRef("sales"), lattice.dims(), 0b011),
+  PlanPtr plan = MdJoinPlan(GroupingSetsPlan(TableRef("sales"), lattice.dims(), {0b011}),
                             TableRef("sales"), aggs, theta);
   QueryProfile profile;
   if (!ExplainAnalyze(plan, catalog, {}, &profile).ok()) return 1;

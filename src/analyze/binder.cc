@@ -305,55 +305,51 @@ Result<ExprPtr> LowerCondition(BinderState* state, size_t comp_index,
 
 Result<PlanPtr> BuildBasePlan(const BinderState& state, const PlanPtr& detail_plan) {
   const BaseGen& gen = state.query->base;
+  if (gen.kind == BaseGenKind::kTable) {
+    // Example 2.4: base values handed in as a table. Normalize column order
+    // to the declared attribute list.
+    std::vector<ProjectItem> items;
+    for (const std::string& a : gen.attrs) {
+      items.push_back({Expr::ColumnRef(Side::kDetail, a), a});
+    }
+    return ProjectPlan(TableRef(gen.table_name), std::move(items));
+  }
+  // Every other generator is a list of grouping sets over its attributes.
+  if (Status valid = ValidateGroupingSets(gen.attrs, {}); !valid.ok()) {
+    return Status::BindError(valid.message());
+  }
+  const size_t d = gen.attrs.size();
+  std::vector<CuboidMask> masks;
   switch (gen.kind) {
-    case BaseGenKind::kGroup: {
-      std::vector<ProjectItem> items;
-      for (const std::string& a : gen.attrs) {
-        items.push_back({Expr::ColumnRef(Side::kDetail, a), a});
-      }
-      return DistinctPlan(ProjectPlan(detail_plan, std::move(items)));
+    case BaseGenKind::kGroup:
+      masks = {PrefixMask(d)};
+      break;
+    case BaseGenKind::kCube: {
+      MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(gen.attrs));
+      masks = lattice.CubeOrder();
+      break;
     }
-    case BaseGenKind::kCube:
-      return CubeBasePlan(detail_plan, gen.attrs);
-    case BaseGenKind::kRollup: {
-      std::vector<PlanPtr> pieces;
-      for (int k = static_cast<int>(gen.attrs.size()); k >= 0; --k) {
-        CuboidMask mask = (CuboidMask{1} << k) - 1;
-        pieces.push_back(CuboidBasePlan(detail_plan, gen.attrs, mask));
-      }
-      return UnionPlan(std::move(pieces));
-    }
-    case BaseGenKind::kUnpivot: {
-      std::vector<PlanPtr> pieces;
-      for (size_t i = 0; i < gen.attrs.size(); ++i) {
-        pieces.push_back(CuboidBasePlan(detail_plan, gen.attrs, CuboidMask{1} << i));
-      }
-      return UnionPlan(std::move(pieces));
-    }
-    case BaseGenKind::kGroupingSets: {
-      std::vector<PlanPtr> pieces;
+    case BaseGenKind::kRollup:
+      for (size_t k = d + 1; k-- > 0;) masks.push_back(PrefixMask(k));
+      break;
+    case BaseGenKind::kUnpivot:
+      for (size_t i = 0; i < d; ++i) masks.push_back(CuboidMask{1} << i);
+      break;
+    case BaseGenKind::kGroupingSets:
       for (const std::vector<std::string>& set : gen.sets) {
         CuboidMask mask = 0;
         for (const std::string& a : set) {
-          for (size_t i = 0; i < gen.attrs.size(); ++i) {
+          for (size_t i = 0; i < d; ++i) {
             if (gen.attrs[i] == a) mask |= CuboidMask{1} << i;
           }
         }
-        pieces.push_back(CuboidBasePlan(detail_plan, gen.attrs, mask));
+        masks.push_back(mask);
       }
-      return UnionPlan(std::move(pieces));
-    }
-    case BaseGenKind::kTable: {
-      // Example 2.4: base values handed in as a table. Normalize column order
-      // to the declared attribute list.
-      std::vector<ProjectItem> items;
-      for (const std::string& a : gen.attrs) {
-        items.push_back({Expr::ColumnRef(Side::kDetail, a), a});
-      }
-      return ProjectPlan(TableRef(gen.table_name), std::move(items));
-    }
+      break;
+    case BaseGenKind::kTable:
+      break;
   }
-  return Status::Internal("unreachable generator kind");
+  return GroupingSetsPlan(detail_plan, gen.attrs, std::move(masks));
 }
 
 }  // namespace

@@ -19,8 +19,11 @@ struct BoundQuery {
 };
 
 /// Lowers a parsed ANALYZE BY query to plan IR:
-///  - the generator becomes the base-values subplan (distinct / CubeBase /
-///    unions of CuboidBase / a catalog table);
+///  - the generator becomes the base-values subplan: one GroupingSets node
+///    over the detail relation (group = the full mask, cube = all 2^d masks,
+///    rollup = the prefix masks, unpivot = one single-dimension mask per
+///    attribute, grouping_sets = one mask per written set, repeats kept), or
+///    a projection of a catalog table for the table form;
 ///  - each grouping variable becomes one MD-join over the detail relation,
 ///    its SUCH THAT condition the θ (unqualified names resolve to base
 ///    attributes, `X.col` to the detail tuple);

@@ -479,31 +479,25 @@ class Analyzer {
         }
         return;
       }
-      case PlanKind::kCubeBase:
-      case PlanKind::kCuboidBase: {
+      case PlanKind::kGroupingSets: {
         if (!expect(1) || !ChildrenResolved(child_idx)) return;
         const NodeAnalysis& child = Child(child_idx, 0);
-        if (plan->cube_dims.empty()) {
-          Diag(*n, "invariant", "cube base-values generator has no dimensions");
+        if (plan->dims.empty()) {
+          Diag(*n, "invariant", "grouping-sets generator has no dimensions");
           return;
         }
-        if (plan->kind() == PlanKind::kCuboidBase &&
-            plan->cuboid_mask >= (CuboidMask{1} << plan->cube_dims.size())) {
-          Diag(*n, "invariant", "cuboid mask has bits beyond the dimension list");
+        if (Status valid = ValidateGroupingSets(plan->dims, plan->masks); !valid.ok()) {
+          Diag(*n, "invariant", valid.message());
           return;
         }
         Schema out;
-        for (const std::string& d : plan->cube_dims) {
+        for (const std::string& d : plan->dims) {
           Result<int> idx = child.schema->GetFieldIndex(d);
           if (!idx.ok()) {
-            Diag(*n, "type check", "cube dimension '" + d + "' is not in the input");
+            Diag(*n, "type check", "grouping dimension '" + d + "' is not in the input");
             return;
           }
-          Status added = out.AddField(child.schema->field(*idx));
-          if (!added.ok()) {
-            Diag(*n, "invariant", "duplicate cube dimension: " + added.message());
-            return;
-          }
+          MDJ_CHECK(out.AddField(child.schema->field(*idx)).ok());
           const AttrProvenance* src = child.FindProvenance(d);
           n->provenance.push_back(src != nullptr
                                       ? *src
@@ -511,10 +505,9 @@ class Analyzer {
                                                        plan.get(), d});
         }
         n->schema = std::move(out);
-        n->rows_distinct = true;
-        n->distinct_evidence = std::string(PlanKindToString(plan->kind())) +
-                               " generator emits distinct value combinations at " +
-                               n->path;
+        Result<DistinctnessCertificate> distinct = CertifyBaseDistinct(plan);
+        n->rows_distinct = distinct.ok();
+        if (distinct.ok()) n->distinct_evidence = distinct->evidence;
         return;
       }
       case PlanKind::kEmptyRef: {
@@ -757,11 +750,20 @@ Result<DistinctnessCertificate> CertifyBaseDistinct(const PlanPtr& base_plan) {
         return DistinctnessCertificate{"Distinct at " + path +
                                        (via.empty() ? "" : " (preserved through " +
                                                               via.back() + ")")};
-      case PlanKind::kCubeBase:
-      case PlanKind::kCuboidBase:
+      case PlanKind::kGroupingSets: {
+        // Each mask's cuboid holds distinct keys, and two distinct masks put
+        // ALL in different positions; a repeated mask emits its rows twice.
+        std::set<CuboidMask> seen;
+        for (CuboidMask mask : cursor->masks) {
+          if (!seen.insert(mask).second) {
+            return NotCertified("Theorem 4.4", path,
+                                "GroupingSets repeats a grouping set, so it emits "
+                                "those rows more than once");
+          }
+        }
         return DistinctnessCertificate{
-            std::string(PlanKindToString(cursor->kind())) +
-            " generator emits distinct value combinations at " + path};
+            "GroupingSets generator with distinct grouping sets at " + path};
+      }
       case PlanKind::kGroupBy:
         return DistinctnessCertificate{"GroupBy emits one row per key at " + path};
       case PlanKind::kEmptyRef:
@@ -794,9 +796,9 @@ Result<RollupCertificate> CertifyRollup(const PlanPtr& plan) {
     return NotCertified("Theorem 4.5", "root", "root is not an MD-join");
   }
   const PlanPtr& base = plan->child(0);
-  if (base->kind() != PlanKind::kCuboidBase) {
+  if (base->kind() != PlanKind::kGroupingSets || base->masks.size() != 1) {
     return NotCertified("Theorem 4.5", "root/0",
-                        "base child is not a cuboid base-values table");
+                        "base child is not a single-cuboid GroupingSets");
   }
   MDJ_ASSIGN_OR_RETURN(bool distributive, AllDistributive(plan->aggs));
   if (!distributive) {
@@ -824,12 +826,12 @@ Result<RollupCertificate> CertifyRollup(const PlanPtr& plan) {
     }
     seen.insert(p.base_expr->column_name());
   }
-  std::set<std::string> want(base->cube_dims.begin(), base->cube_dims.end());
+  std::set<std::string> want(base->dims.begin(), base->dims.end());
   if (seen != want) {
     return NotCertified("Theorem 4.5", "root",
                         "θ's dimension set does not match the cuboid's dimensions");
   }
-  return RollupCertificate{base->cube_dims};
+  return RollupCertificate{base->dims};
 }
 
 }  // namespace mdjoin

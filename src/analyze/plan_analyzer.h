@@ -146,8 +146,8 @@ struct NodeAnalysis {
 
   /// Structural duplicate-freedom evidence: true when this node's output
   /// rows are provably distinct from the plan shape alone (Distinct roots,
-  /// cube base-values generators, GroupBy outputs, and shapes that preserve
-  /// distinctness). `distinct_evidence` says why.
+  /// GroupingSets generators with pairwise-distinct masks, GroupBy outputs,
+  /// and shapes that preserve distinctness). `distinct_evidence` says why.
   bool rows_distinct = false;
   std::string distinct_evidence;
 
@@ -243,12 +243,13 @@ Status CertifyOuterIndependence(const PlanPtr& plan, const Catalog& catalog,
                                 const char* rule);
 
 /// Theorem 4.4 (split): structural evidence that `base_plan`'s rows are
-/// distinct. Derived bottom-up: Distinct nodes, cube base-values generators
-/// (CubeBase / CuboidBase emit one row per value combination), GroupBy (one
-/// row per key), and distinctness-preserving shapes above them (Filter, Sort,
-/// Partition, MD-joins extending a distinct base). Absent (InvalidArgument,
-/// naming the node that breaks the chain) when no evidence exists — the rule
-/// refuses rather than trusting callers.
+/// distinct. Derived bottom-up: Distinct nodes, GroupingSets generators
+/// whose masks are pairwise distinct (each cuboid emits one row per value
+/// combination; a repeated mask emits its cuboid twice, so it is refused),
+/// GroupBy (one row per key), and distinctness-preserving shapes above them
+/// (Filter, Sort, Partition, MD-joins extending a distinct base). Absent
+/// (InvalidArgument, naming the node that breaks the chain) when no evidence
+/// exists — the rule refuses rather than trusting callers.
 struct DistinctnessCertificate {
   std::string evidence;  // human-readable derivation, e.g. "Distinct at root/0"
 };
@@ -256,7 +257,7 @@ Result<DistinctnessCertificate> CertifyBaseDistinct(const PlanPtr& base_plan);
 
 /// Theorem 4.5 (roll-up): l is distributive and θ is exactly the
 /// dimension-equality condition of the base child's cuboid. Requires root
-/// MD-join over a CuboidBase child.
+/// MD-join over a single-mask GroupingSets child (one cuboid).
 struct RollupCertificate {
   std::vector<std::string> dims;  // the cuboid's dimensions, for convenience
 };

@@ -1,7 +1,5 @@
 #include "cube/base_tables.h"
 
-#include <map>
-
 #include "table/table_ops.h"
 
 namespace mdjoin {
@@ -59,108 +57,38 @@ Status AppendCuboid(const Table& t, const std::vector<std::string>& dims,
 
 }  // namespace
 
-Result<Table> GroupByBase(const Table& t, const std::vector<std::string>& dims) {
-  return DistinctOn(t, dims);
-}
-
-Result<Table> CuboidBase(const Table& t, const CubeLattice& lattice, CuboidMask mask) {
-  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, lattice.dims()));
-  BaseColumns out(lattice.dims().size());
-  MDJ_RETURN_NOT_OK(AppendCuboid(t, lattice.dims(), mask, &out));
+// One distinct pass over R, for the finest cuboid the masks need, and every
+// cuboid derived from that (Gray et al.: compute a cuboid from a parent).
+// Rows and order match a scan of R per cuboid: the first R row with a given
+// coarse key also carries the first occurrence of its finer key, so the
+// finest cuboid meets the coarse keys in R's order, each represented by the
+// same R row.
+Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
+                               const std::vector<CuboidMask>& masks) {
+  MDJ_RETURN_NOT_OK(ValidateGroupingSets(dims, masks));
+  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, dims));
+  CuboidMask grouped = 0;
+  for (CuboidMask mask : masks) grouped |= mask;
+  std::vector<std::string> finest_dims;
+  for (size_t i = 0; i < dims.size(); ++i) {
+    if (grouped & (CuboidMask{1} << i)) finest_dims.push_back(dims[i]);
+  }
+  MDJ_ASSIGN_OR_RETURN(Table finest, DistinctOn(t, finest_dims));
+  if (masks.size() == 1 && masks[0] == PrefixMask(dims.size())) return finest;
+  BaseColumns out(dims.size());
+  for (CuboidMask mask : masks) {
+    MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
+  }
   return std::move(out).Finish(std::move(schema));
 }
 
-// The cube builders take one distinct pass over R, for the finest cuboid,
-// and derive every coarser cuboid from that (Gray et al.: compute a cuboid
-// from a parent). Rows and order match a scan of R per cuboid: the first R
-// row with a given coarse key also carries the first occurrence of its full
-// key, so the finest cuboid meets the coarse keys in R's order, each
-// represented by the same R row.
+Result<Table> GroupByBase(const Table& t, const std::vector<std::string>& dims) {
+  return GroupingSetsBase(t, dims, {PrefixMask(dims.size())});
+}
 
 Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims) {
   MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(dims));
-  MDJ_ASSIGN_OR_RETURN(Table finest, GroupByBase(t, dims));
-  BaseColumns out(dims.size());
-  // Full cuboid first, then coarser ones, grand total last — the natural
-  // reading order of Figure 1(a).
-  for (int level = lattice.num_dims(); level >= 0; --level) {
-    for (CuboidMask mask : lattice.CuboidsAtLevel(level)) {
-      MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
-    }
-  }
-  return std::move(out).Finish(finest.schema());
-}
-
-Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims) {
-  MDJ_ASSIGN_OR_RETURN(Table finest, GroupByBase(t, dims));
-  BaseColumns out(dims.size());
-  // Prefix masks: full, drop last dim, ..., grand total.
-  for (int k = static_cast<int>(dims.size()); k >= 0; --k) {
-    CuboidMask mask = (CuboidMask{1} << k) - 1;
-    MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
-  }
-  return std::move(out).Finish(finest.schema());
-}
-
-Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
-                               const std::vector<std::vector<std::string>>& sets) {
-  MDJ_ASSIGN_OR_RETURN(Table finest, GroupByBase(t, dims));
-  BaseColumns out(dims.size());
-  for (const std::vector<std::string>& set : sets) {
-    CuboidMask mask = 0;
-    for (const std::string& attr : set) {
-      bool found = false;
-      for (size_t i = 0; i < dims.size(); ++i) {
-        if (dims[i] == attr) {
-          mask |= CuboidMask{1} << i;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::InvalidArgument("grouping set attribute '", attr,
-                                       "' is not among the declared dimensions");
-      }
-    }
-    MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
-  }
-  return std::move(out).Finish(finest.schema());
-}
-
-Result<Table> UnpivotBase(const Table& t, const std::vector<std::string>& dims) {
-  std::vector<std::vector<std::string>> sets;
-  sets.reserve(dims.size());
-  for (const std::string& d : dims) sets.push_back({d});
-  return GroupingSetsBase(t, dims, sets);
-}
-
-Result<CuboidMask> RowCuboid(const Table& base, const CubeLattice& lattice, int64_t row) {
-  CuboidMask mask = 0;
-  for (int i = 0; i < lattice.num_dims(); ++i) {
-    MDJ_ASSIGN_OR_RETURN(int idx,
-                         base.schema().GetFieldIndex(lattice.dims()[static_cast<size_t>(i)]));
-    if (!base.Get(row, idx).is_all()) mask |= CuboidMask{1} << i;
-  }
-  return mask;
-}
-
-Result<std::vector<CuboidPartition>> PartitionByCuboid(const Table& base,
-                                                       const CubeLattice& lattice) {
-  std::map<CuboidMask, Table> pieces;
-  for (int64_t r = 0; r < base.num_rows(); ++r) {
-    MDJ_ASSIGN_OR_RETURN(CuboidMask mask, RowCuboid(base, lattice, r));
-    auto it = pieces.find(mask);
-    if (it == pieces.end()) {
-      it = pieces.emplace(mask, Table(base.schema())).first;
-    }
-    it->second.AppendRowFrom(base, r);
-  }
-  std::vector<CuboidPartition> out;
-  out.reserve(pieces.size());
-  for (auto& [mask, table] : pieces) {
-    out.push_back(CuboidPartition{mask, std::move(table)});
-  }
-  return out;
+  return GroupingSetsBase(t, dims, lattice.CubeOrder());
 }
 
 Result<Table> WidenGroupedToCube(const Table& grouped,

@@ -18,42 +18,22 @@ namespace mdjoin {
 /// All outputs have schema = the dimension columns (types taken from `t`),
 /// with the ALL marker filling rolled-up positions.
 
+/// GROUPING SETS over `dims`, the one builder behind every generator: for
+/// each mask in order (repeats kept), the distinct combinations of the dims
+/// it groups, in first-occurrence order, with ALL in the other positions.
+/// GROUP BY is the single full mask, CUBE BY all 2^d masks
+/// (CubeLattice::CubeOrder), ROLLUP the prefix masks, UNPIVOT [GFC98] one
+/// single-dimension mask per dimension. Takes one distinct pass over the
+/// dims the masks group and derives each cuboid from it; for exactly the
+/// full mask that pass is the result, typed mirror included.
+Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
+                               const std::vector<CuboidMask>& masks);
+
 /// select distinct dims from t — the GROUP BY base values.
 Result<Table> GroupByBase(const Table& t, const std::vector<std::string>& dims);
 
-/// One cuboid: distinct combinations of the dims grouped by `mask`, with ALL
-/// in the remaining positions.
-Result<Table> CuboidBase(const Table& t, const CubeLattice& lattice, CuboidMask mask);
-
-/// CUBE BY dims (Example 2.1): the union of all 2^d cuboids.
+/// CUBE BY dims (Example 2.1): the union of all 2^d cuboids, full first.
 Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims);
-
-/// ROLLUP(d1, ..., dk): the prefix cuboids (d1..dk), (d1..dk-1), ..., ().
-Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims);
-
-/// GROUPING SETS: caller-selected cuboids, named per set. `dims` fixes the
-/// output column order; every set must be a subset of `dims`.
-Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
-                               const std::vector<std::vector<std::string>>& sets);
-
-/// UNPIVOT [GFC98]: the marginals — one single-attribute grouping set per
-/// dimension (what decision-tree learners consume, §2 Example 2.1).
-Result<Table> UnpivotBase(const Table& t, const std::vector<std::string>& dims);
-
-/// The ALL-mask of row `row` of a base table whose first columns are
-/// `lattice.dims()`: bit i set iff dims[i] is a concrete (non-ALL) value.
-Result<CuboidMask> RowCuboid(const Table& base, const CubeLattice& lattice, int64_t row);
-
-/// Splits a multi-granularity base table into per-cuboid partitions (a
-/// Theorem 4.1 partition along granularity — what turns a cube-shaped B into
-/// individually hash-indexable pieces). Returns {mask, rows-of-that-cuboid}
-/// pairs in ascending mask order; absent cuboids are omitted.
-struct CuboidPartition {
-  CuboidMask mask;
-  Table table;
-};
-Result<std::vector<CuboidPartition>> PartitionByCuboid(const Table& base,
-                                                       const CubeLattice& lattice);
 
 /// Widens a grouped result whose key columns are (a permutation of) the
 /// `mask` attributes of `dims` to the full cube schema `cube_schema`

@@ -4,6 +4,28 @@
 
 namespace mdjoin {
 
+Status ValidateGroupingSets(const std::vector<std::string>& dims,
+                            const std::vector<CuboidMask>& masks) {
+  if (dims.size() > kMaxMaskDims) {
+    return Status::InvalidArgument("grouping sets limited to ", kMaxMaskDims,
+                                   " dimensions, got ", dims.size());
+  }
+  for (size_t i = 0; i < dims.size(); ++i) {
+    for (size_t j = i + 1; j < dims.size(); ++j) {
+      if (dims[i] == dims[j]) {
+        return Status::InvalidArgument("duplicate grouping dimension '", dims[i], "'");
+      }
+    }
+  }
+  for (CuboidMask mask : masks) {
+    if ((mask & ~PrefixMask(dims.size())) != 0) {
+      return Status::InvalidArgument("grouping set mask ", mask,
+                                     " has bits beyond the ", dims.size(), " dimensions");
+    }
+  }
+  return Status::OK();
+}
+
 Result<CubeLattice> CubeLattice::Make(std::vector<std::string> dims) {
   if (dims.empty()) return Status::InvalidArgument("cube lattice needs >= 1 dimension");
   if (dims.size() > 20) {
@@ -24,6 +46,15 @@ std::vector<CuboidMask> CubeLattice::AllCuboids() const {
   std::vector<CuboidMask> out;
   out.reserve(size_t{1} << num_dims());
   for (CuboidMask m = 0; m <= full_cuboid(); ++m) out.push_back(m);
+  return out;
+}
+
+std::vector<CuboidMask> CubeLattice::CubeOrder() const {
+  std::vector<CuboidMask> out;
+  out.reserve(size_t{1} << num_dims());
+  for (int level = num_dims(); level >= 0; --level) {
+    for (CuboidMask m : CuboidsAtLevel(level)) out.push_back(m);
+  }
   return out;
 }
 

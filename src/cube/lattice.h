@@ -15,6 +15,19 @@ namespace mdjoin {
 /// total is 0.
 using CuboidMask = uint32_t;
 
+/// Bits in a CuboidMask: the most dimensions a grouping-sets base can name.
+constexpr size_t kMaxMaskDims = 32;
+
+/// The mask grouping the first `num_dims` dimensions (num_dims <= 32).
+inline CuboidMask PrefixMask(size_t num_dims) {
+  return static_cast<CuboidMask>((uint64_t{1} << num_dims) - 1);
+}
+
+/// OK when `dims` holds at most kMaxMaskDims distinct names and every mask
+/// groups only those dimensions: the shape check of a grouping-sets base.
+Status ValidateGroupingSets(const std::vector<std::string>& dims,
+                            const std::vector<CuboidMask>& masks);
+
 /// The search lattice of a data cube over named dimensions (paper §4.4).
 /// Purely structural: enumeration, parent/child tests, pretty names. Limited
 /// to 20 dimensions (2^20 cuboids) — far beyond practical cube widths.
@@ -29,6 +42,10 @@ class CubeLattice {
 
   /// All 2^d cuboid masks, grand total first, full cuboid last.
   std::vector<CuboidMask> AllCuboids() const;
+
+  /// All 2^d cuboid masks in CUBE BY order: full cuboid first, then level
+  /// by level, grand total last (the reading order of Figure 1(a)).
+  std::vector<CuboidMask> CubeOrder() const;
 
   /// Cuboids grouping exactly `level` dimensions.
   std::vector<CuboidMask> CuboidsAtLevel(int level) const;

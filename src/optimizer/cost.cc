@@ -1,7 +1,6 @@
 #include "optimizer/cost.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "expr/conjuncts.h"
@@ -113,10 +112,10 @@ double PredicateSelectivity(const ExprPtr& predicate, const TableStats* stats) {
 /// Product of the NDVs of `columns`, or nullopt when any column lacks
 /// statistics (callers then fall back to the ratio constants). The product
 /// is the standard independence-assumption group-count estimate; callers
-/// clamp it to the input cardinality.
+/// clamp it to the input cardinality. No columns is one group.
 std::optional<double> NdvProduct(const TableStats* stats,
                                  const std::vector<std::string>& columns) {
-  if (stats == nullptr || columns.empty()) return std::nullopt;
+  if (stats == nullptr) return std::nullopt;
   double product = 1.0;
   for (const std::string& name : columns) {
     const ColumnStats* cs = stats->FindColumn(name);
@@ -225,43 +224,24 @@ Result<PlanCost> EstimateCostImpl(const PlanPtr& plan, const Catalog& catalog,
       cost.work += b.output_rows;
       return cost;
     }
-    case PlanKind::kCubeBase: {
-      MDJ_ASSIGN_OR_RETURN(PlanCost child, Estimate(plan->child(0), catalog, feedback));
-      double cuboids = std::pow(2.0, static_cast<double>(plan->cube_dims.size()));
-      double out = child.output_rows * kCuboidRatio * cuboids;
-      if (const TableStats* stats = StatsForInput(plan->child(0), catalog)) {
-        // Sum over all 2^d cuboids of the per-cuboid NDV products has the
-        // closed form prod_i (ndv_i + 1) under independence.
-        double product = 1.0;
-        bool covered = true;
-        for (const std::string& dim : plan->cube_dims) {
-          const ColumnStats* cs = stats->FindColumn(dim);
-          if (cs == nullptr) {
-            covered = false;
-            break;
-          }
-          product *= static_cast<double>(std::max<int64_t>(cs->ndv, 1)) + 1.0;
-        }
-        if (covered) out = std::min(product, cuboids * child.output_rows);
-      }
-      return PlanCost{out, child.work + child.output_rows};
-    }
     case PlanKind::kSort: {
       MDJ_ASSIGN_OR_RETURN(PlanCost child, Estimate(plan->child(0), catalog, feedback));
       return PlanCost{child.output_rows, child.work + 2 * child.output_rows};
     }
-    case PlanKind::kCuboidBase: {
+    case PlanKind::kGroupingSets: {
+      MDJ_RETURN_NOT_OK(ValidateGroupingSets(plan->dims, plan->masks));
       MDJ_ASSIGN_OR_RETURN(PlanCost child, Estimate(plan->child(0), catalog, feedback));
-      double out = child.output_rows * kCuboidRatio;
-      // Dims present in the cuboid (mask bit i <-> cube_dims[i]); the absent
-      // ones are ALL, contributing factor 1.
-      std::vector<std::string> present;
-      for (size_t i = 0; i < plan->cube_dims.size(); ++i) {
-        if ((plan->cuboid_mask >> i) & 1u) present.push_back(plan->cube_dims[i]);
-      }
-      if (std::optional<double> ndv =
-              NdvProduct(StatsForInput(plan->child(0), catalog), present)) {
-        out = std::min(*ndv, child.output_rows);
+      const TableStats* stats = StatsForInput(plan->child(0), catalog);
+      // One cuboid per mask: the NDV product of the dims it groups (the
+      // absent ones are ALL, factor 1), capped at the child's rows.
+      double out = 0;
+      for (CuboidMask mask : plan->masks) {
+        std::vector<std::string> present;
+        for (size_t i = 0; i < plan->dims.size(); ++i) {
+          if ((mask >> i) & 1u) present.push_back(plan->dims[i]);
+        }
+        std::optional<double> ndv = NdvProduct(stats, present);
+        out += ndv ? std::min(*ndv, child.output_rows) : child.output_rows * kCuboidRatio;
       }
       return PlanCost{out, child.work + child.output_rows};
     }

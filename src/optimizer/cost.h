@@ -32,7 +32,8 @@ uint64_t PlanFingerprint(const PlanPtr& plan);
 /// (documented so benches can reason about rankings):
 ///  - TableRef: |T| rows, no work.
 ///  - Filter: selectivity 0.3; Distinct: 0.6; GroupBy: 0.2 of child rows.
-///  - CubeBase over d dims: 2^d × 0.2 × child; CuboidBase: 0.2 × child.
+///  - GroupingSets: 0.2 × child per mask (a cube over d dims: 2^d × 0.2 ×
+///    child); work is one scan of the child, whatever the mask count.
 ///  - MD-join with an equi conjunct: work = |R| + |R| (index probes);
 ///    without: work = |R| × |B| (nested loop). Output rows = |B|.
 ///  - Generalized MD-join: one scan of R plus per-component probe work.
@@ -40,10 +41,12 @@ uint64_t PlanFingerprint(const PlanPtr& plan);
 ///
 /// When the catalog carries AnalyzeTable statistics (Catalog::FindStats),
 /// cardinalities come from them instead: filters over a scanned table use
-/// per-conjunct histogram/NDV selectivities, and Distinct/GroupBy/Cube
-/// output sizes use NDV products clamped to the input size. When a feedback
-/// store is supplied, a node whose fingerprint has been observed uses the
-/// measured output cardinality outright — measurements beat models.
+/// per-conjunct histogram/NDV selectivities, and Distinct/GroupBy output
+/// sizes use NDV products clamped to the input size; a GroupingSets node
+/// sums, over its masks, the NDV product of the dims each mask groups, each
+/// clamped to the input size. When a feedback store is supplied, a node
+/// whose fingerprint has been observed uses the measured output cardinality
+/// outright — measurements beat models.
 Result<PlanCost> EstimateCost(const PlanPtr& plan, const Catalog& catalog);
 Result<PlanCost> EstimateCost(const PlanPtr& plan, const Catalog& catalog,
                               const FeedbackStore* feedback);

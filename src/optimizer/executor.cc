@@ -294,8 +294,8 @@ Result<NodeResult> PlanWalk::Eval(const PlanPtr& plan, OperatorProfile* profile)
       FillMdJoinProfile(profile, md_stats, components);
       return Own(std::move(out));
     }
-    case PlanKind::kCubeBase:
-      return Own(CubeByBase(*in[0], plan->cube_dims));
+    case PlanKind::kGroupingSets:
+      return Own(GroupingSetsBase(*in[0], plan->dims, plan->masks));
     case PlanKind::kSort: {
       MDJ_ASSIGN_OR_RETURN(std::vector<int> cols,
                            ResolveColumns(in[0]->schema(), plan->sort_columns));
@@ -304,10 +304,6 @@ Result<NodeResult> PlanWalk::Eval(const PlanPtr& plan, OperatorProfile* profile)
         keys.push_back({cols[i], plan->sort_ascending[i]});
       }
       return Own(SortTable(*in[0], keys));
-    }
-    case PlanKind::kCuboidBase: {
-      MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(plan->cube_dims));
-      return Own(CuboidBase(*in[0], lattice, plan->cuboid_mask));
     }
     case PlanKind::kEmptyRef: {
       if (plan->empty_schema == nullptr) {

@@ -27,10 +27,8 @@ const char* PlanKindToString(PlanKind kind) {
       return "MdJoin";
     case PlanKind::kGeneralizedMdJoin:
       return "GeneralizedMdJoin";
-    case PlanKind::kCubeBase:
-      return "CubeBase";
-    case PlanKind::kCuboidBase:
-      return "CuboidBase";
+    case PlanKind::kGroupingSets:
+      return "GroupingSets";
     case PlanKind::kSort:
       return "Sort";
     case PlanKind::kEmptyRef:
@@ -120,16 +118,11 @@ PlanPtr GeneralizedMdJoinPlan(PlanPtr base, PlanPtr detail,
   return p;
 }
 
-PlanPtr CubeBasePlan(PlanPtr child, std::vector<std::string> dims) {
-  PlanPtr p = MakeNode(PlanKind::kCubeBase, {std::move(child)});
-  Mutable(p)->cube_dims = std::move(dims);
-  return p;
-}
-
-PlanPtr CuboidBasePlan(PlanPtr child, std::vector<std::string> dims, CuboidMask mask) {
-  PlanPtr p = MakeNode(PlanKind::kCuboidBase, {std::move(child)});
-  Mutable(p)->cube_dims = std::move(dims);
-  Mutable(p)->cuboid_mask = mask;
+PlanPtr GroupingSetsPlan(PlanPtr child, std::vector<std::string> dims,
+                         std::vector<CuboidMask> masks) {
+  PlanPtr p = MakeNode(PlanKind::kGroupingSets, {std::move(child)});
+  Mutable(p)->dims = std::move(dims);
+  Mutable(p)->masks = std::move(masks);
   return p;
 }
 
@@ -164,8 +157,8 @@ PlanPtr CloneWithChildren(const PlanPtr& node, std::vector<PlanPtr> children) {
   m->aggs = node->aggs;
   m->theta = node->theta;
   m->components = node->components;
-  m->cube_dims = node->cube_dims;
-  m->cuboid_mask = node->cuboid_mask;
+  m->dims = node->dims;
+  m->masks = node->masks;
   m->sort_columns = node->sort_columns;
   m->sort_ascending = node->sort_ascending;
   m->empty_schema = node->empty_schema;
@@ -245,16 +238,19 @@ std::string PlanNode::Label() const {
       out += ")";
       break;
     }
-    case PlanKind::kCubeBase:
-    case PlanKind::kCuboidBase: {
-      out += "(";
-      for (size_t i = 0; i < cube_dims.size(); ++i) {
-        if (i > 0) out += ", ";
-        if (kind_ == PlanKind::kCuboidBase && !(cuboid_mask & (CuboidMask{1} << i))) {
-          out += "ALL";
-        } else {
-          out += cube_dims[i];
+    case PlanKind::kGroupingSets: {
+      // The dims, then each mask as the dims it groups: "(a, b; (a, b), (a), ())".
+      auto names = [this](CuboidMask mask) {
+        std::string list;
+        for (size_t i = 0; i < dims.size() && i < kMaxMaskDims; ++i) {
+          if (!(mask & (CuboidMask{1} << i))) continue;
+          list += (list.empty() ? "" : ", ") + dims[i];
         }
+        return list;
+      };
+      out += "(" + names(~CuboidMask{0}) + ";";
+      for (size_t i = 0; i < masks.size(); ++i) {
+        out += (i > 0 ? ", (" : " (") + names(masks[i]) + ")";
       }
       out += ")";
       break;
@@ -474,11 +470,11 @@ Result<Schema> InferSchema(const PlanPtr& plan, const Catalog& catalog) {
       }
       return out;
     }
-    case PlanKind::kCubeBase:
-    case PlanKind::kCuboidBase: {
+    case PlanKind::kGroupingSets: {
       MDJ_ASSIGN_OR_RETURN(Schema child, InferSchema(plan->child(0), catalog));
+      MDJ_RETURN_NOT_OK(ValidateGroupingSets(plan->dims, plan->masks));
       std::vector<Field> fields;
-      for (const std::string& d : plan->cube_dims) {
+      for (const std::string& d : plan->dims) {
         MDJ_ASSIGN_OR_RETURN(int idx, child.GetFieldIndex(d));
         fields.push_back(child.field(idx));
       }

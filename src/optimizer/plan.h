@@ -31,8 +31,7 @@ enum class PlanKind {
   kGroupBy,            // conventional Σ aggregation
   kMdJoin,             // MD(B, R, l, θ) — children: [base, detail]
   kGeneralizedMdJoin,  // MD(B, R, (l..), (θ..)) — children: [base, detail]
-  kCubeBase,           // CUBE BY base-values generator over the child
-  kCuboidBase,         // one cuboid of the child (π_{X,ALL..}) (Thm 4.5)
+  kGroupingSets,       // ANALYZE BY base values: one cuboid of the child per mask
   kSort,               // order the child by named columns
   kEmptyRef,           // constant empty relation with a fixed schema
 };
@@ -66,8 +65,8 @@ class PlanNode {
   std::vector<AggSpec> aggs;                 // kGroupBy, kMdJoin
   ExprPtr theta;                             // kMdJoin
   std::vector<MdJoinComponent> components;   // kGeneralizedMdJoin
-  std::vector<std::string> cube_dims;        // kCubeBase, kCuboidBase
-  CuboidMask cuboid_mask = 0;                // kCuboidBase
+  std::vector<std::string> dims;             // kGroupingSets
+  std::vector<CuboidMask> masks;             // kGroupingSets (in order, repeats kept)
   std::vector<std::string> sort_columns;     // kSort
   std::vector<bool> sort_ascending;          // kSort (parallel to sort_columns)
   std::shared_ptr<const Schema> empty_schema;  // kEmptyRef
@@ -101,8 +100,13 @@ PlanPtr MdJoinPlan(PlanPtr base, PlanPtr detail, std::vector<AggSpec> aggs,
                    ExprPtr theta);
 PlanPtr GeneralizedMdJoinPlan(PlanPtr base, PlanPtr detail,
                               std::vector<MdJoinComponent> components);
-PlanPtr CubeBasePlan(PlanPtr child, std::vector<std::string> dims);
-PlanPtr CuboidBasePlan(PlanPtr child, std::vector<std::string> dims, CuboidMask mask);
+/// The base-values relation of every ANALYZE BY generator (§5): for each
+/// mask in order, the child's distinct combinations of the dims it groups,
+/// ALL elsewhere (cube/base_tables GroupingSetsBase). group(a, b) is the
+/// single full mask, cube all 2^d masks in CubeLattice::CubeOrder, rollup
+/// the prefix masks, unpivot one single-dimension mask per dimension.
+PlanPtr GroupingSetsPlan(PlanPtr child, std::vector<std::string> dims,
+                         std::vector<CuboidMask> masks);
 
 PlanPtr SortPlan(PlanPtr child, std::vector<std::string> columns,
                  std::vector<bool> ascending = {});

@@ -179,7 +179,7 @@ Result<PlanPtr> SplitToEquiJoin(const PlanPtr& plan, const Catalog& catalog) {
 Result<PlanPtr> ApplyRollup(const PlanPtr& plan, CuboidMask finer_mask) {
   MDJ_ASSIGN_OR_RETURN(RollupCertificate cert, CertifyRollup(plan));
   const PlanPtr& base = plan->child(0);
-  const CuboidMask coarse = base->cuboid_mask;
+  const CuboidMask coarse = base->masks[0];
   if ((coarse & finer_mask) != coarse || coarse == finer_mask) {
     return NotApplicable("Theorem 4.5", "finer mask is not a strict superset");
   }
@@ -189,7 +189,7 @@ Result<PlanPtr> ApplyRollup(const PlanPtr& plan, CuboidMask finer_mask) {
     MDJ_ASSIGN_OR_RETURN(AggSpec r, RollupSpec(a));
     rollup_specs.push_back(std::move(r));
   }
-  PlanPtr finer_base = CuboidBasePlan(base->child(0), cert.dims, finer_mask);
+  PlanPtr finer_base = GroupingSetsPlan(base->child(0), cert.dims, {finer_mask});
   PlanPtr finer_cuboid =
       MdJoinPlan(std::move(finer_base), plan->child(1), plan->aggs, plan->theta);
   return MdJoinPlan(base, std::move(finer_cuboid), std::move(rollup_specs), plan->theta);
@@ -198,17 +198,17 @@ Result<PlanPtr> ApplyRollup(const PlanPtr& plan, CuboidMask finer_mask) {
 Result<PlanPtr> ExpandCubeBase(const PlanPtr& plan) {
   if (!IsMdJoin(plan)) return NotApplicable("cube expansion", "root is not an MD-join");
   const PlanPtr& base = plan->child(0);
-  if (base->kind() != PlanKind::kCubeBase) {
-    return NotApplicable("cube expansion", "base child is not a CUBE BY generator");
+  if (base->kind() != PlanKind::kGroupingSets) {
+    return NotApplicable("cube expansion", "base child is not a grouping-sets generator");
   }
-  MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(base->cube_dims));
+  MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(base->dims));
+  if (base->masks != lattice.CubeOrder()) {
+    return NotApplicable("cube expansion", "grouping sets are not the CUBE BY lattice");
+  }
   std::vector<PlanPtr> pieces;
-  for (int level = lattice.num_dims(); level >= 0; --level) {
-    for (CuboidMask mask : lattice.CuboidsAtLevel(level)) {
-      pieces.push_back(
-          MdJoinPlan(CuboidBasePlan(base->child(0), base->cube_dims, mask),
-                     plan->child(1), plan->aggs, plan->theta));
-    }
+  for (CuboidMask mask : base->masks) {
+    pieces.push_back(MdJoinPlan(GroupingSetsPlan(base->child(0), base->dims, {mask}),
+                                plan->child(1), plan->aggs, plan->theta));
   }
   return UnionPlan(std::move(pieces));
 }
@@ -216,14 +216,14 @@ Result<PlanPtr> ExpandCubeBase(const PlanPtr& plan) {
 Result<PlanPtr> ExpandCubeBaseWithRollups(const PlanPtr& plan) {
   MDJ_ASSIGN_OR_RETURN(PlanPtr expanded, ExpandCubeBase(plan));
   const PlanPtr& base = plan->child(0);
-  MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(base->cube_dims));
+  MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(base->dims));
   // Re-plan each non-full cuboid to roll up from its finest direct parent
   // (lowest set bit added — deterministic; a cost-based optimizer would pick
   // by estimated parent size). The full cuboid keeps reading the detail
   // relation. Relies on executor CSE to share parent results.
   std::map<CuboidMask, PlanPtr> cuboid_plans;
   for (const PlanPtr& piece : expanded->children()) {
-    cuboid_plans[piece->child(0)->cuboid_mask] = piece;
+    cuboid_plans[piece->child(0)->masks[0]] = piece;
   }
   const CuboidMask full = lattice.full_cuboid();
   // Process from finest to coarsest so parents are already re-planned.
@@ -247,11 +247,7 @@ Result<PlanPtr> ExpandCubeBaseWithRollups(const PlanPtr& plan) {
     }
   }
   std::vector<PlanPtr> pieces;
-  for (int level = lattice.num_dims(); level >= 0; --level) {
-    for (CuboidMask mask : lattice.CuboidsAtLevel(level)) {
-      pieces.push_back(cuboid_plans[mask]);
-    }
-  }
+  for (CuboidMask mask : base->masks) pieces.push_back(cuboid_plans[mask]);
   return UnionPlan(std::move(pieces));
 }
 

@@ -63,25 +63,27 @@ Result<PlanPtr> CommuteMdJoins(const PlanPtr& plan, const Catalog& catalog);
 /// Preconditions: θ2 references only attributes of B (provenance-checked by
 /// CertifyOuterIndependence), and B's rows are distinct — the theorem's
 /// standing assumption, for which the rule now demands structural evidence
-/// from CertifyBaseDistinct (a Distinct node, cube base-values generator, or
-/// GroupBy below distinctness-preserving operators). Without evidence the
+/// from CertifyBaseDistinct (a Distinct node, a GroupingSets generator whose
+/// masks are pairwise distinct, or GroupBy below distinctness-preserving
+/// operators). Without evidence the
 /// rule returns InvalidArgument naming the offending node instead of
 /// trusting callers. Enables moving each MD-join to its relation's site.
 Result<PlanPtr> SplitToEquiJoin(const PlanPtr& plan, const Catalog& catalog);
 
 /// Theorem 4.5 — roll-up: for a root of shape
-/// MD(CuboidBase(S, dims, coarse), R, l, θ_eq) with l distributive and
+/// MD(GroupingSets(S, dims, {coarse}), R, l, θ_eq) with l distributive and
 /// coarse ⊂ finer, re-bases the aggregation on the finer cuboid:
-///   MD(CuboidBase(coarse), MD(CuboidBase(finer), R, l, θ), l', θ)
+///   MD(GroupingSets({coarse}), MD(GroupingSets({finer}), R, l, θ), l', θ)
 /// where l' re-aggregates l's outputs (count → sum). The inner MD-join is the
 /// finer cuboid's computation; the outer one reads |finer| rows instead of
 /// |R|.
 Result<PlanPtr> ApplyRollup(const PlanPtr& plan, CuboidMask finer_mask);
 
 /// Granularity expansion (Theorem 4.1 along the lattice): rewrites
-/// MD(CubeBase(S, dims), R, l, θ) into a union of per-cuboid MD-joins,
-/// finest level first — the shape PIPESORT-style plans start from and the
-/// precondition for ApplyRollup.
+/// MD(GroupingSets(S, dims, cube masks), R, l, θ) — the masks exactly the
+/// CUBE BY lattice in CubeLattice::CubeOrder — into a union of single-mask
+/// MD-joins in that order, finest level first: the shape PIPESORT-style
+/// plans start from and the precondition for ApplyRollup.
 Result<PlanPtr> ExpandCubeBase(const PlanPtr& plan);
 
 /// Composes ExpandCubeBase with ApplyRollup along lattice edges: every

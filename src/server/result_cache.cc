@@ -39,19 +39,18 @@ PlanCacheKey MakePlanCacheKey(const PlanPtr& plan) {
   key.exact = ExplainPlan(plan);
   if (plan == nullptr || plan->kind() != PlanKind::kMdJoin) return key;
   const PlanPtr& base = plan->child(0);
-  if (base->kind() != PlanKind::kCuboidBase) return key;
   // Only plans the roll-up rule could serve get a lattice position: the
-  // analyzer's Theorem-4.5 certificate (distributive aggregate list, θ the
-  // pure dimension-equality condition) is exactly the legality gate
-  // ApplyRollup itself uses.
+  // analyzer's Theorem-4.5 certificate (a single-mask GroupingSets base,
+  // distributive aggregate list, θ the pure dimension-equality condition) is
+  // exactly the legality gate ApplyRollup itself uses.
   if (!CertifyRollup(plan).ok()) return key;
   // The family is the canonical key with the mask normalized to the grand
-  // total, so every cuboid of the same cube query lands in one family.
+  // total, so every cuboid over the same (child, dims) lands in one family.
   PlanPtr normalized =
-      MdJoinPlan(CuboidBasePlan(base->child(0), base->cube_dims, 0), plan->child(1),
+      MdJoinPlan(GroupingSetsPlan(base->child(0), base->dims, {0}), plan->child(1),
                  plan->aggs, plan->theta);
   key.family = ExplainPlan(normalized);
-  key.mask = base->cuboid_mask;
+  key.mask = base->masks[0];
   return key;
 }
 

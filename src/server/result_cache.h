@@ -22,11 +22,11 @@ namespace mdjoin {
 /// bit-identical across engine knobs).
 ///
 /// When the plan is a cuboid query the optimizer's roll-up rule can serve
-/// from — root MD-join over a CuboidBase child, certified by the analyzer's
-/// Theorem-4.5 certificate (distributive aggregates, pure dimension-equality
-/// θ) — `family` names its position in the cube lattice: the canonical key
-/// with the cuboid mask normalized out, so every cuboid of the same cube
-/// query shares a family and differs only in `mask`. A cached finer cuboid
+/// from — root MD-join over a single-mask GroupingSets child, certified by
+/// the analyzer's Theorem-4.5 certificate (distributive aggregates, pure
+/// dimension-equality θ) — `family` names its position in the cube lattice:
+/// the canonical key with the mask normalized out, so every cuboid over the
+/// same (child, dims) shares a family and differs only in `mask`. A cached finer cuboid
 /// (mask ⊃ request mask) then answers the coarser request via roll-up.
 /// `family` is empty for plans the roll-up rule cannot certify.
 struct PlanCacheKey {

@@ -5,7 +5,10 @@
 #include "analyze/parser.h"
 #include "core/mdjoin.h"
 #include "cube/base_tables.h"
+#include "expr/conjuncts.h"
+#include "expr/row_ctx.h"
 #include "optimizer/executor.h"
+#include "optimizer/optimize.h"
 #include "optimizer/rules.h"
 #include "ra/filter.h"
 #include "ra/group_by.h"
@@ -243,7 +246,7 @@ TEST_F(BinderTest, UnpivotQuery) {
   Result<Table> got = Run(
       "select prod, month, count(*) as n from Sales analyze by unpivot(prod, month)");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  Result<Table> base = UnpivotBase(sales_, {"prod", "month"});
+  Result<Table> base = GroupingSetsBase(sales_, {"prod", "month"}, {0b01, 0b10});
   EXPECT_EQ(got->num_rows(), base->num_rows());
 }
 
@@ -389,6 +392,134 @@ TEST_F(BinderTest, BindErrors) {
   EXPECT_FALSE(Run(
       "select cust, count(X.sale) as n from Sales analyze by group(cust) "
       "such that X: X.cust = cust, X: X.cust = cust").ok());
+  // A repeated ANALYZE BY attribute is an error, not a duplicate column.
+  for (const char* gen :
+       {"group(cust, cust)", "cube(cust, cust)", "rollup(cust, cust)"}) {
+    Result<Table> dup = Run(std::string("select cust from Sales analyze by ") + gen);
+    ASSERT_FALSE(dup.ok()) << gen;
+    EXPECT_NE(dup.status().ToString().find("duplicate grouping dimension"),
+              std::string::npos)
+        << dup.status().ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Text-path differential: every ANALYZE BY generator, bound, optimized and
+// executed, against the definitions. The base must equal the RowKey-set
+// reference (one scan per grouping set) bit for bit, rows and order; the
+// answer must equal MdJoinReference over that base.
+// ---------------------------------------------------------------------------
+
+/// The first GroupingSets node of `plan`, depth first; null when none.
+PlanPtr FindGroupingSets(const PlanPtr& plan) {
+  if (plan->kind() == PlanKind::kGroupingSets) return plan;
+  for (const PlanPtr& c : plan->children()) {
+    if (PlanPtr found = FindGroupingSets(c)) return found;
+  }
+  return nullptr;
+}
+
+/// True when `plan` holds a node of `kind`.
+bool HasKind(const PlanPtr& plan, PlanKind kind) {
+  if (plan->kind() == kind) return true;
+  for (const PlanPtr& c : plan->children()) {
+    if (HasKind(c, kind)) return true;
+  }
+  return false;
+}
+
+TEST(TextPathDifferentialTest, EveryGeneratorMatchesTheDefinition) {
+  struct Input {
+    std::string name;
+    Table table;
+    std::vector<std::string> dims;  // three ANALYZE BY attributes
+    std::string measure;            // summed column
+    std::string where;              // WHERE text, over the detail relation
+    ExprPtr where_expr;             // the same predicate, for the reference
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"Edge", testutil::EdgeTable(), {"a", "b", "c"}, "v", "b >= 0",
+                    Ge(Col("b"), Lit(0))});
+  inputs.push_back({"Sales", testutil::RandomSales(41, 800), {"prod", "month", "state"},
+                    "sale", "year = 1997", Eq(Col("year"), Lit(1997))});
+
+  for (const Input& in : inputs) {
+    Catalog catalog;
+    ASSERT_TRUE(catalog.Register(in.name, &in.table).ok());
+    const std::string& x = in.dims[0];
+    const std::string& y = in.dims[1];
+    const std::string& z = in.dims[2];
+    struct Form {
+      std::string generator;
+      std::vector<std::string> attrs;  // the base's dimension order
+      std::vector<CuboidMask> masks;   // over `attrs`
+    };
+    const std::vector<Form> forms = {
+        {"group(" + x + ", " + y + ", " + z + ")", {x, y, z}, {0b111}},
+        {"cube(" + x + ", " + y + ", " + z + ")",
+         {x, y, z},
+         testutil::CubeMasks({x, y, z})},
+        {"rollup(" + x + ", " + y + ", " + z + ")",
+         {x, y, z},
+         {0b111, 0b011, 0b001, 0b000}},
+        {"unpivot(" + x + ", " + y + ", " + z + ")", {x, y, z}, {0b001, 0b010, 0b100}},
+        // Attributes take first-appearance order: (x, z, y).
+        {"grouping_sets((" + x + ", " + z + "), (" + y + "), (" + x + ", " + z + "), ())",
+         {x, z, y},
+         {0b011, 0b100, 0b011, 0b000}},
+        {"grouping_sets((" + y + "), ())", {y}, {0b1, 0b0}},
+    };
+    for (bool filtered : {false, true}) {
+      // The detail relation the query reads: R, or σ_where(R) by the oracle.
+      Table detail{in.table.schema()};
+      for (int64_t r = 0; r < in.table.num_rows(); ++r) {
+        RowCtx ctx;
+        ctx.detail = &in.table;
+        ctx.detail_row = r;
+        Result<Value> keep = InterpretExpr(*in.where_expr, ctx);
+        ASSERT_TRUE(keep.ok()) << keep.status().ToString();
+        if (!filtered || keep->IsTruthy()) detail.AppendRowFrom(in.table, r);
+      }
+      for (const Form& f : forms) {
+        SCOPED_TRACE(in.name + " " + f.generator + (filtered ? " where" : ""));
+        std::string select = "select ";
+        for (const std::string& a : f.attrs) select += a + ", ";
+        const std::string sql = select + "count(*) as n, sum(" + in.measure +
+                                ") as s from " + in.name +
+                                (filtered ? " where " + in.where : "") + " analyze by " +
+                                f.generator;
+        Result<analyze::BoundQuery> bound = BindQueryString(sql, catalog);
+        ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+        Result<PlanPtr> plan = OptimizePlan(bound->plan, catalog);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+        // One GroupingSets node lowers the generator; no Distinct or Union.
+        const PlanPtr base_plan = FindGroupingSets(*plan);
+        ASSERT_NE(base_plan, nullptr) << ExplainPlan(*plan);
+        EXPECT_EQ(base_plan->dims, f.attrs);
+        EXPECT_EQ(base_plan->masks, f.masks);
+        EXPECT_FALSE(HasKind(*plan, PlanKind::kDistinct)) << ExplainPlan(*plan);
+        EXPECT_FALSE(HasKind(*plan, PlanKind::kUnion)) << ExplainPlan(*plan);
+
+        Result<Table> base = ExecutePlan(base_plan, catalog);
+        ASSERT_TRUE(base.ok()) << base.status().ToString();
+        const Table expected_base =
+            testutil::ReferenceGroupingSets(detail, f.attrs, f.masks);
+        EXPECT_TRUE(testutil::TablesBitIdentical(*base, expected_base));
+        EXPECT_TRUE(testutil::MirrorAgreesWithCells(*base));
+
+        std::vector<ExprPtr> eqs;
+        for (const std::string& a : f.attrs) eqs.push_back(Eq(BCol(a), RCol(a)));
+        Result<Table> expected = MdJoinReference(
+            expected_base, detail, {Count("n"), Sum(RCol(in.measure), "s")},
+            CombineConjuncts(std::move(eqs)));
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        Result<Table> got = ExecutePlan(*plan, catalog);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(testutil::TablesBitIdentical(*got, *expected));
+      }
+    }
+  }
 }
 
 }  // namespace

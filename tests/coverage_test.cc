@@ -43,8 +43,8 @@ TEST_F(GeneratorCoverage, GroupingSetsQueryEndToEnd) {
       "select prod, month, state, sum(sale) as total from Sales "
       "analyze by grouping_sets((prod, month), (state), ())");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  Result<Table> base = GroupingSetsBase(sales_, {"prod", "month", "state"},
-                                        {{"prod", "month"}, {"state"}, {}});
+  Result<Table> base =
+      GroupingSetsBase(sales_, {"prod", "month", "state"}, {0b011, 0b100, 0b000});
   EXPECT_EQ(got->num_rows(), base->num_rows());
   // The () set contributes exactly one grand-total row.
   int grand = 0;
@@ -69,7 +69,7 @@ TEST_F(GeneratorCoverage, RollupQueryEndToEnd) {
   for (int64_t r = 0; r < got->num_rows(); ++r) {
     EXPECT_FALSE(got->Get(r, 0).is_all() && !got->Get(r, 1).is_all());
   }
-  Result<Table> base = RollupBase(sales_, {"prod", "month"});
+  Result<Table> base = GroupingSetsBase(sales_, {"prod", "month"}, {0b11, 0b01, 0b00});
   EXPECT_EQ(got->num_rows(), base->num_rows());
 }
 
@@ -98,7 +98,7 @@ TEST(RuleRejectionCoverage, CommuteAndSplitPatternMismatches) {
   EXPECT_FALSE(CommuteMdJoins(TableRef("sales"), catalog).ok());
   EXPECT_FALSE(FuseMdJoinSeries(TableRef("sales")).ok());
   EXPECT_FALSE(ApplyRollup(TableRef("sales"), 0b1).ok());
-  EXPECT_FALSE(ExpandCubeBase(not_nested).ok());  // base is not CubeBase
+  EXPECT_FALSE(ExpandCubeBase(not_nested).ok());  // base is not a cube
   // Split rejects when the outer θ needs the inner's outputs.
   PlanPtr inner = MdJoinPlan(DistinctPlan(ProjectPlan(TableRef("sales"),
                                                       {{Col("cust"), "cust"}})),

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 #include "core/mdjoin.h"
 #include "core/reference.h"
@@ -18,6 +17,7 @@ namespace {
 
 using namespace mdjoin::dsl;  // NOLINT
 using testutil::I;
+using testutil::ReferenceGroupingSets;
 
 ExprPtr DimsTheta(const std::vector<std::string>& dims) {
   std::vector<ExprPtr> eqs;
@@ -83,9 +83,9 @@ TEST(BaseTablesTest, CubeByBaseHasAllCuboids) {
   EXPECT_EQ(all_all, 1);
 }
 
-TEST(BaseTablesTest, RollupBaseHasPrefixes) {
+TEST(BaseTablesTest, RollupMasksHavePrefixes) {
   Table sales = testutil::SmallSales();
-  Result<Table> base = RollupBase(sales, {"prod", "month"});
+  Result<Table> base = GroupingSetsBase(sales, {"prod", "month"}, {0b11, 0b01, 0b00});
   ASSERT_TRUE(base.ok());
   Result<Table> pm = DistinctOn(sales, {"prod", "month"});
   Result<Table> p = DistinctOn(sales, {"prod"});
@@ -99,28 +99,22 @@ TEST(BaseTablesTest, RollupBaseHasPrefixes) {
 TEST(BaseTablesTest, GroupingSetsSelectsCuboids) {
   Table sales = testutil::SmallSales();
   Result<Table> base =
-      GroupingSetsBase(sales, {"prod", "month", "state"}, {{"prod"}, {"month"}, {"state"}});
+      GroupingSetsBase(sales, {"prod", "month", "state"}, {0b001, 0b010, 0b100});
   ASSERT_TRUE(base.ok());
   Result<Table> p = DistinctOn(sales, {"prod"});
   Result<Table> m = DistinctOn(sales, {"month"});
   Result<Table> s = DistinctOn(sales, {"state"});
   EXPECT_EQ(base->num_rows(), p->num_rows() + m->num_rows() + s->num_rows());
-  // Unknown attribute rejected.
-  EXPECT_FALSE(GroupingSetsBase(sales, {"prod"}, {{"month"}}).ok());
+  // Unknown dimension, mask bits beyond the dims, duplicate dims: rejected.
+  EXPECT_FALSE(GroupingSetsBase(sales, {"nope"}, {0b1}).ok());
+  EXPECT_FALSE(GroupingSetsBase(sales, {"prod"}, {0b10}).ok());
+  EXPECT_FALSE(GroupingSetsBase(sales, {"prod", "prod"}, {0b01}).ok());
 }
 
-TEST(BaseTablesTest, UnpivotEqualsSingletonGroupingSets) {
+TEST(BaseTablesTest, SingleCuboidGranularity) {
   Table sales = testutil::SmallSales();
-  Result<Table> unpivot = UnpivotBase(sales, {"prod", "month"});
-  Result<Table> gs = GroupingSetsBase(sales, {"prod", "month"}, {{"prod"}, {"month"}});
-  ASSERT_TRUE(unpivot.ok() && gs.ok());
-  EXPECT_TRUE(TablesEqualUnordered(*unpivot, *gs));
-}
-
-TEST(BaseTablesTest, CuboidBaseSingleGranularity) {
-  Table sales = testutil::SmallSales();
-  Result<CubeLattice> lat = CubeLattice::Make({"prod", "month"});
-  Result<Table> cuboid = CuboidBase(sales, *lat, 0b01);  // prod concrete, month ALL
+  // prod concrete, month ALL.
+  Result<Table> cuboid = GroupingSetsBase(sales, {"prod", "month"}, {0b01});
   ASSERT_TRUE(cuboid.ok());
   EXPECT_EQ(cuboid->num_rows(), 2);  // prods 10, 20
   for (int64_t r = 0; r < cuboid->num_rows(); ++r) {
@@ -129,87 +123,36 @@ TEST(BaseTablesTest, CuboidBaseSingleGranularity) {
   }
 }
 
-/// Each cube builder derives its cuboids from the finest one; the result
-/// must be bit-identical, row order included, to scanning R once per cuboid
-/// with CuboidBase. The data mixes NULL, NaN, ±0 and an Int64 and a Float64
-/// of equal value in one column, so a derived cuboid that kept a different
+/// Every generator's masks through the one builder must be bit-identical,
+/// row order included, to the RowKey-set reference that scans R once per
+/// mask. The data mixes NULL, NaN, ±0 and an Int64 and a Float64 of equal
+/// value in one column, so a derived cuboid that kept a different
 /// representative row than the direct scan would show.
 TEST(BaseTablesTest, BuildersEqualPerCuboidScans) {
   const std::vector<std::string> dims = {"a", "b", "c"};
-  Table edge{Schema({Field("a", DataType::kFloat64), Field("b", DataType::kFloat64),
-                     Field("c", DataType::kString), Field("v", DataType::kInt64)})};
-  const double nan = std::nan("");
-  auto add = [&edge](Value a, Value b, Value c) {
-    edge.AppendRowUnchecked({std::move(a), std::move(b), std::move(c), Value::Int64(1)});
-  };
-  add(Value::Int64(1), Value::Float64(-0.0), Value::String("x"));
-  add(Value::Float64(1.0), Value::Float64(0.0), Value::String("y"));
-  add(Value::Null(), Value::Float64(nan), Value::String("x"));
-  add(Value::Float64(1.0), Value::Float64(nan), Value::Null());
-  add(Value::Int64(2), Value::Float64(0.0), Value::String("x"));
-  add(Value::Null(), Value::Float64(-0.0), Value::Null());
-  add(Value::Int64(1), Value::Float64(nan), Value::String("y"));
-  add(Value::Float64(2.0), Value::Null(), Value::String("x"));
-  add(Value::Float64(1.0), Value::Float64(0.0), Value::String("x"));
-  add(Value::Null(), Value::Null(), Value::Null());
-  add(Value::Float64(-0.0), Value::Float64(1.0), Value::String("y"));
-  add(Value::Int64(0), Value::Int64(1), Value::String("y"));
-
+  const Table edge = testutil::EdgeTable();
   Table sales = testutil::RandomSales(31, 500);
   const std::vector<std::string> sales_dims = {"prod", "month", "state"};
   // Grouping sets by dimension position: the grand total, the full set and a
   // repeated set included.
-  const std::vector<std::vector<size_t>> sets = {{0, 2}, {}, {1}, {0, 1, 2}, {2}, {0, 2}};
+  const std::vector<CuboidMask> grouping = {0b101, 0b000, 0b010, 0b111, 0b100, 0b101};
 
   for (const auto& [t, d] : {std::pair<const Table*, std::vector<std::string>>{&edge, dims},
                              {&sales, sales_dims}}) {
     const CubeLattice lattice = *CubeLattice::Make(d);
-    auto expected = [&](const std::vector<CuboidMask>& masks) {
-      std::vector<Table> cuboids;
-      for (CuboidMask mask : masks) cuboids.push_back(*CuboidBase(*t, lattice, mask));
-      return *ConcatAll(cuboids);
-    };
-    std::vector<CuboidMask> cube, rollup, grouping, unpivot;
-    for (int level = lattice.num_dims(); level >= 0; --level) {
-      for (CuboidMask mask : lattice.CuboidsAtLevel(level)) cube.push_back(mask);
+    const std::vector<CuboidMask> full = {lattice.full_cuboid()};
+    const std::vector<CuboidMask> rollup = {0b111, 0b011, 0b001, 0b000};
+    const std::vector<CuboidMask> unpivot = {0b001, 0b010, 0b100};
+    for (const std::vector<CuboidMask>& masks :
+         {full, lattice.CubeOrder(), rollup, unpivot, grouping}) {
+      EXPECT_TRUE(testutil::TablesBitIdentical(*GroupingSetsBase(*t, d, masks),
+                                               ReferenceGroupingSets(*t, d, masks)));
     }
-    for (int k = lattice.num_dims(); k >= 0; --k) rollup.push_back((CuboidMask{1} << k) - 1);
-    std::vector<std::vector<std::string>> named_sets;
-    for (const std::vector<size_t>& set : sets) {
-      CuboidMask mask = 0;
-      std::vector<std::string> named;
-      for (size_t i : set) {
-        mask |= CuboidMask{1} << i;
-        named.push_back(d[i]);
-      }
-      grouping.push_back(mask);
-      named_sets.push_back(std::move(named));
-    }
-    for (size_t i = 0; i < d.size(); ++i) unpivot.push_back(CuboidMask{1} << i);
-
-    EXPECT_TRUE(testutil::TablesBitIdentical(*CubeByBase(*t, d), expected(cube)));
-    EXPECT_TRUE(testutil::TablesBitIdentical(*RollupBase(*t, d), expected(rollup)));
-    EXPECT_TRUE(testutil::TablesBitIdentical(*GroupingSetsBase(*t, d, named_sets),
-                                             expected(grouping)));
-    EXPECT_TRUE(testutil::TablesBitIdentical(*UnpivotBase(*t, d), expected(unpivot)));
+    EXPECT_TRUE(testutil::TablesBitIdentical(
+        *CubeByBase(*t, d), ReferenceGroupingSets(*t, d, lattice.CubeOrder())));
+    EXPECT_TRUE(testutil::TablesBitIdentical(
+        *GroupByBase(*t, d), ReferenceGroupingSets(*t, d, full)));
   }
-}
-
-TEST(BaseTablesTest, RowCuboidAndPartition) {
-  Table sales = testutil::SmallSales();
-  Result<CubeLattice> lat = CubeLattice::Make({"prod", "month"});
-  Result<Table> base = CubeByBase(sales, {"prod", "month"});
-  Result<std::vector<CuboidPartition>> parts = PartitionByCuboid(*base, *lat);
-  ASSERT_TRUE(parts.ok());
-  EXPECT_EQ(parts->size(), 4u);  // all four granularities occur
-  int64_t total = 0;
-  for (const CuboidPartition& p : *parts) {
-    total += p.table.num_rows();
-    for (int64_t r = 0; r < p.table.num_rows(); ++r) {
-      EXPECT_EQ(*RowCuboid(p.table, *lat, r), p.mask);
-    }
-  }
-  EXPECT_EQ(total, base->num_rows());
 }
 
 TEST(CubeMdJoinTest, Example21CubeViaMdJoin) {

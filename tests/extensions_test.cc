@@ -176,12 +176,14 @@ TEST_F(OptimizeDriverTest, DependentChainStaysChained) {
 TEST_F(OptimizeDriverTest, CubeRollupOptIn) {
   std::vector<std::string> dims = {"prod", "month"};
   ExprPtr theta = And(Eq(BCol("prod"), RCol("prod")), Eq(BCol("month"), RCol("month")));
-  PlanPtr plan = MdJoinPlan(CubeBasePlan(TableRef("sales"), dims), TableRef("sales"),
-                            {Sum(RCol("sale"), "total"), Count("n")}, theta);
-  // Off by default: the plan keeps its CubeBase shape.
+  PlanPtr plan =
+      MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, testutil::CubeMasks(dims)),
+                 TableRef("sales"), {Sum(RCol("sale"), "total"), Count("n")}, theta);
+  // Off by default: the plan keeps its one cube GroupingSets base.
   Result<PlanPtr> untouched = OptimizePlan(plan, catalog_);
   ASSERT_TRUE(untouched.ok());
-  EXPECT_EQ((*untouched)->child(0)->kind(), PlanKind::kCubeBase);
+  EXPECT_EQ((*untouched)->child(0)->kind(), PlanKind::kGroupingSets);
+  EXPECT_EQ((*untouched)->child(0)->masks, testutil::CubeMasks(dims));
   // Opted in: the driver may expand into per-cuboid roll-up chains (gated by
   // the cost model); whatever it decides, results are identical.
   OptimizeOptions options;

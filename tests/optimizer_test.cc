@@ -263,7 +263,7 @@ TEST_F(OptimizerTest, Theorem44SplitPreservesResults) {
 TEST_F(OptimizerTest, Theorem45RollupPreservesResults) {
   std::vector<std::string> dims = {"prod", "month"};
   // Coarse cuboid: (prod, ALL).
-  PlanPtr coarse = MdJoinPlan(CuboidBasePlan(TableRef("sales"), dims, 0b01),
+  PlanPtr coarse = MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, {0b01}),
                               TableRef("sales"),
                               {Sum(RCol("sale"), "total"), Count("n")}, DimsTheta(dims));
   Result<PlanPtr> rolled = ApplyRollup(coarse, 0b11);
@@ -275,18 +275,18 @@ TEST_F(OptimizerTest, Theorem45RollupPreservesResults) {
 
 TEST_F(OptimizerTest, Theorem45Preconditions) {
   std::vector<std::string> dims = {"prod", "month"};
-  PlanPtr coarse_avg = MdJoinPlan(CuboidBasePlan(TableRef("sales"), dims, 0b01),
+  PlanPtr coarse_avg = MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, {0b01}),
                                   TableRef("sales"), {Avg(RCol("sale"), "a")},
                                   DimsTheta(dims));
   // avg is not distributive.
   EXPECT_FALSE(ApplyRollup(coarse_avg, 0b11).ok());
-  PlanPtr coarse = MdJoinPlan(CuboidBasePlan(TableRef("sales"), dims, 0b01),
+  PlanPtr coarse = MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, {0b01}),
                               TableRef("sales"), {Count("n")}, DimsTheta(dims));
   // Finer mask must be a strict superset.
   EXPECT_FALSE(ApplyRollup(coarse, 0b01).ok());
   EXPECT_FALSE(ApplyRollup(coarse, 0b10).ok());
   // θ with an extra residual conjunct is not pure dimension equality.
-  PlanPtr resid = MdJoinPlan(CuboidBasePlan(TableRef("sales"), dims, 0b01),
+  PlanPtr resid = MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, {0b01}),
                              TableRef("sales"), {Count("n")},
                              And(DimsTheta(dims), Gt(RCol("sale"), Lit(10))));
   EXPECT_FALSE(ApplyRollup(resid, 0b11).ok());
@@ -294,8 +294,9 @@ TEST_F(OptimizerTest, Theorem45Preconditions) {
 
 TEST_F(OptimizerTest, ExpandCubeBaseEqualsDirectCube) {
   std::vector<std::string> dims = {"prod", "month"};
-  PlanPtr cube = MdJoinPlan(CubeBasePlan(TableRef("sales"), dims), TableRef("sales"),
-                            {Sum(RCol("sale"), "total")}, DimsTheta(dims));
+  PlanPtr cube =
+      MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, testutil::CubeMasks(dims)),
+                 TableRef("sales"), {Sum(RCol("sale"), "total")}, DimsTheta(dims));
   Result<PlanPtr> expanded = ExpandCubeBase(cube);
   ASSERT_TRUE(expanded.ok()) << expanded.status().ToString();
   EXPECT_EQ((*expanded)->kind(), PlanKind::kUnion);
@@ -305,8 +306,10 @@ TEST_F(OptimizerTest, ExpandCubeBaseEqualsDirectCube) {
 
 TEST_F(OptimizerTest, ExpandCubeBaseWithRollupsEqualsDirectCube) {
   std::vector<std::string> dims = {"prod", "month", "state"};
-  PlanPtr cube = MdJoinPlan(CubeBasePlan(TableRef("sales"), dims), TableRef("sales"),
-                            {Sum(RCol("sale"), "total"), Count("n")}, DimsTheta(dims));
+  PlanPtr cube =
+      MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, testutil::CubeMasks(dims)),
+                 TableRef("sales"), {Sum(RCol("sale"), "total"), Count("n")},
+                 DimsTheta(dims));
   Result<PlanPtr> rolled = ExpandCubeBaseWithRollups(cube);
   ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
   ExpectSameResult(cube, *rolled);

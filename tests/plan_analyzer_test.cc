@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "analyze/binder.h"
 #include "analyze/plan_invariants.h"
 #include "expr/conjuncts.h"
 #include "optimizer/executor.h"
 #include "optimizer/optimize.h"
 #include "optimizer/plan.h"
 #include "optimizer/rules.h"
+#include "table/table_ops.h"
 #include "tests/test_util.h"
 
 namespace mdjoin {
@@ -133,13 +135,62 @@ TEST_F(PlanAnalyzerTest, DistinctnessEvidence) {
   EXPECT_NE(cert->evidence.find("Distinct"), std::string::npos);
   // Cuboid base-values generators are distinct by construction.
   EXPECT_TRUE(
-      CertifyBaseDistinct(CuboidBasePlan(TableRef("sales"), {"prod"}, 0b1)).ok());
+      CertifyBaseDistinct(GroupingSetsPlan(TableRef("sales"), {"prod"}, {0b1})).ok());
   // Negative: a bare projection proves nothing; the error names the blocker.
   Result<DistinctnessCertificate> none = CertifyBaseDistinct(UndocumentedCustBase());
   ASSERT_FALSE(none.ok());
   EXPECT_NE(none.status().ToString().find("no distinctness evidence"),
             std::string::npos)
       << none.status().ToString();
+}
+
+TEST_F(PlanAnalyzerTest, GroupingSetsDistinctOnlyWithDistinctMasks) {
+  // Every ANALYZE BY generator lowers to one GroupingSets node. Its rows are
+  // distinct exactly when no grouping set repeats: a repeated set emits its
+  // cuboid again. Each text binds to MD(MD(B, R, count, θ), R, sum, θ_Y);
+  // the outer θ reads only B, so Theorem 4.4 applies iff B is distinct.
+  struct Case {
+    std::string generator;
+    bool distinct;
+  };
+  const std::vector<Case> cases = {
+      {"group(prod, month)", true},
+      {"cube(prod, month)", true},
+      {"rollup(prod, month)", true},
+      {"unpivot(prod, month)", true},
+      {"grouping_sets((prod), (month), ())", true},
+      {"grouping_sets((prod, month), (prod, month))", false},
+      {"grouping_sets((prod, month), (month), (prod, month))", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.generator);
+    Result<analyze::BoundQuery> bound = analyze::BindQueryString(
+        "select prod, month, count(*) as n, sum(Y.sale) as t from sales analyze by " +
+            c.generator + " such that Y: Y.prod = prod and Y.month = month",
+        catalog_);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    const PlanPtr outer = bound->plan->child(0);
+    ASSERT_EQ(outer->kind(), PlanKind::kMdJoin);
+    const PlanPtr base = outer->child(0)->child(0);
+    ASSERT_EQ(base->kind(), PlanKind::kGroupingSets);
+
+    Result<DistinctnessCertificate> cert = CertifyBaseDistinct(base);
+    EXPECT_EQ(cert.ok(), c.distinct) << cert.status().ToString();
+    PlanAnalysis analysis = Analyze(bound->plan);
+    ASSERT_NE(analysis.Find(base.get()), nullptr);
+    EXPECT_EQ(analysis.Find(base.get())->rows_distinct, c.distinct);
+    Result<PlanPtr> split = SplitToEquiJoin(outer, catalog_);
+    EXPECT_EQ(split.ok(), c.distinct) << split.status().ToString();
+    if (!c.distinct) {
+      EXPECT_NE(split.status().ToString().find("repeats a grouping set"),
+                std::string::npos)
+          << split.status().ToString();
+    }
+    // The refusal is needed: the repeated set really emits duplicate rows.
+    Result<Table> rows = ExecutePlan(base, catalog_);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(Distinct(*rows).num_rows() == rows->num_rows(), c.distinct);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -239,7 +290,7 @@ TEST_F(PlanAnalyzerTest, RollupRejectsNonDistributiveAggregate) {
   // Theorem 4.5 negative: avg is algebraic, not distributive; re-aggregating
   // finalized averages would be wrong, and the certificate says so.
   std::vector<std::string> dims = {"prod", "month"};
-  PlanPtr plan = MdJoinPlan(CuboidBasePlan(TableRef("sales"), dims, 0b01),
+  PlanPtr plan = MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, {0b01}),
                             TableRef("sales"), {Avg(RCol("sale"), "a")},
                             DimsTheta(dims));
   Result<RollupCertificate> cert = CertifyRollup(plan);

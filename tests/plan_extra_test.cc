@@ -246,8 +246,9 @@ TEST_F(PlanExtraTest, CostCoversEveryNodeKind) {
       MdJoinPlan(base, TableRef("sales"), {Count("n")}, Eq(RCol("cust"), BCol("cust"))),
       GeneralizedMdJoinPlan(base, TableRef("sales"),
                             {{{Count("n")}, Eq(RCol("cust"), BCol("cust"))}}),
-      CubeBasePlan(TableRef("sales"), {"prod", "month"}),
-      CuboidBasePlan(TableRef("sales"), {"prod", "month"}, 0b01),
+      GroupingSetsPlan(TableRef("sales"), {"prod", "month"},
+                       testutil::CubeMasks({"prod", "month"})),
+      GroupingSetsPlan(TableRef("sales"), {"prod", "month"}, {0b01}),
       SortPlan(TableRef("sales"), {"cust"}),
   };
   for (const PlanPtr& plan : plans) {
@@ -300,10 +301,30 @@ TEST_F(PlanExtraTest, ExplainLabelsCarryPayload) {
                 ->Label()
                 .find("left outer"),
             std::string::npos);
-  EXPECT_NE(CuboidBasePlan(TableRef("t"), {"a", "b"}, 0b01)->Label().find("ALL"),
-            std::string::npos);
+  // The dims, then every grouping set in order, repeats and () included.
+  EXPECT_EQ(
+      GroupingSetsPlan(TableRef("t"), {"a", "b"}, {0b01, 0b11, 0b00, 0b01})->Label(),
+      "GroupingSets(a, b; (a), (a, b), (), (a))");
   EXPECT_NE(GroupByPlan(TableRef("t"), {"k"}, {Count("n")})->Label().find("count"),
             std::string::npos);
+}
+
+TEST_F(PlanExtraTest, GroupingSetsRejectsMalformedShape) {
+  // More dims than a mask has bits, a repeated dim, a mask beyond the dims:
+  // schema inference, costing and execution all refuse, and the label
+  // still renders.
+  std::vector<std::string> wide;
+  for (int i = 0; i <= 32; ++i) wide.push_back("d" + std::to_string(i));
+  const std::vector<PlanPtr> bad = {
+      GroupingSetsPlan(TableRef("sales"), wide, {0}),
+      GroupingSetsPlan(TableRef("sales"), {"cust", "cust"}, {0b01}),
+      GroupingSetsPlan(TableRef("sales"), {"cust"}, {0b10}),
+  };
+  for (const PlanPtr& plan : bad) {
+    EXPECT_FALSE(InferSchema(plan, catalog_).ok()) << plan->Label();
+    EXPECT_FALSE(EstimateCost(plan, catalog_).ok()) << plan->Label();
+    EXPECT_FALSE(ExecutePlan(plan, catalog_).ok()) << plan->Label();
+  }
 }
 
 TEST_F(PlanExtraTest, InferSchemaUnionMismatch) {
@@ -337,8 +358,9 @@ TEST_F(PlanExtraTest, InferredSchemasMatchExecutionEverywhere) {
           {{{Count("n1")}, Eq(RCol("cust"), BCol("cust"))},
            {{Sum(RCol("sale"), "s2")},
             And(Eq(RCol("cust"), BCol("cust")), Eq(RCol("state"), Lit("NY")))}}),
-      CubeBasePlan(TableRef("sales"), {"prod", "month"}),
-      CuboidBasePlan(TableRef("sales"), {"prod", "month"}, 0b10),
+      GroupingSetsPlan(TableRef("sales"), {"prod", "month"},
+                       testutil::CubeMasks({"prod", "month"})),
+      GroupingSetsPlan(TableRef("sales"), {"prod", "month"}, {0b10}),
       GroupByPlan(TableRef("sales"), {"state"}, {Min(Col("sale"), "lo")}),
       SortPlan(TableRef("sales"), {"sale"}, {false}),
       PartitionPlan(TableRef("sales"), 1, 3),

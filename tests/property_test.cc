@@ -204,8 +204,8 @@ TEST_P(TheoremProperty, Theorem45_RollupFromFinerCuboid) {
   for (CuboidMask coarse : lattice->AllCuboids()) {
     for (CuboidMask finer : lattice->AllCuboids()) {
       if ((coarse & finer) != coarse || coarse == finer) continue;
-      Result<Table> coarse_base = CuboidBase(sales_, *lattice, coarse);
-      Result<Table> finer_base = CuboidBase(sales_, *lattice, finer);
+      Result<Table> coarse_base = GroupingSetsBase(sales_, lattice->dims(), {coarse});
+      Result<Table> finer_base = GroupingSetsBase(sales_, lattice->dims(), {finer});
       Result<Table> direct = MdJoin(*coarse_base, sales_, l, theta);
       Result<Table> finer_cuboid = MdJoin(*finer_base, sales_, l, theta);
       Result<Table> rolled = MdJoin(*coarse_base, *finer_cuboid, l_prime, theta);

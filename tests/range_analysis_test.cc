@@ -390,8 +390,9 @@ TEST_F(UnsatRewriteTest, StaticAnalysisReportsOnlyNarrowingFacts) {
   // so the report is the verifier line alone.
   std::vector<std::string> dims = {"prod", "month"};
   ExprPtr cube_theta = And(Eq(BCol("prod"), RCol("prod")), Eq(BCol("month"), RCol("month")));
-  PlanPtr cube = MdJoinPlan(CubeBasePlan(TableRef("sales"), dims), TableRef("sales"),
-                            {Sum(RCol("sale"), "total"), Count("n")}, cube_theta);
+  PlanPtr cube =
+      MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, testutil::CubeMasks(dims)),
+                 TableRef("sales"), {Sum(RCol("sale"), "total"), Count("n")}, cube_theta);
   std::vector<std::string> report = StaticAnalysisReport(cube, catalog_);
   ASSERT_EQ(report.size(), 1u) << testing::PrintToString(report);
   EXPECT_NE(report[0].find("θ bytecode"), std::string::npos) << report[0];

@@ -65,12 +65,13 @@ class ServerTest : public ::testing::Test {
   void TearDown() override { FailpointRegistry::Global()->Reset(); }
 
   /// The running example's cuboid query at `mask` over (prod, month):
-  /// MD-join of CuboidBase against Sales with SUM/COUNT — certified for
-  /// Theorem-4.5 roll-up, so it gets a cache family.
+  /// MD-join of a one-mask GroupingSets against Sales with SUM/COUNT —
+  /// certified for Theorem-4.5 roll-up, so it gets a cache family.
   PlanPtr CuboidQuery(CuboidMask mask) const {
     std::vector<std::string> dims = {"prod", "month"};
-    return MdJoinPlan(CuboidBasePlan(TableRef("sales"), dims, mask), TableRef("sales"),
-                      {Sum(RCol("sale"), "total"), Count("n")}, DimsTheta(dims));
+    return MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, {mask}),
+                      TableRef("sales"), {Sum(RCol("sale"), "total"), Count("n")},
+                      DimsTheta(dims));
   }
 
   Table sales_;
@@ -419,7 +420,7 @@ TEST_F(ServerTest, PlanCacheKeyHasNoFamilyWithoutRollupCertificate) {
   // AVG is not distributive: the roll-up certificate fails, so the plan gets
   // an exact key only.
   std::vector<std::string> dims = {"prod", "month"};
-  PlanPtr plan = MdJoinPlan(CuboidBasePlan(TableRef("sales"), dims, 0b01),
+  PlanPtr plan = MdJoinPlan(GroupingSetsPlan(TableRef("sales"), dims, {0b01}),
                             TableRef("sales"), {Avg(RCol("sale"), "a")}, DimsTheta(dims));
   PlanCacheKey key = MakePlanCacheKey(plan);
   EXPECT_FALSE(key.exact.empty());

@@ -325,10 +325,47 @@ TEST(StatsCostTest, RegisterStatsAndEstimate) {
   EXPECT_LT(with_stats->output_rows, 0.3 * 2000);
 }
 
+TEST(StatsCostTest, GroupingSetsEstimateSumsItsMasks) {
+  Table sales = testutil::RandomSales(/*seed=*/4, 2000);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
+  const std::vector<std::string> dims = {"prod", "month"};
+  PlanPtr cube = GroupingSetsPlan(TableRef("Sales"), dims, testutil::CubeMasks(dims));
+  PlanPtr group = GroupingSetsPlan(TableRef("Sales"), dims, {0b11});
+
+  // No statistics: kCuboidRatio per mask, so cube(prod, month) reads the
+  // old CUBE BY constant 2^d × 0.2 × |R|, and a group() base 0.2 × |R|. The
+  // work is one scan of the child either way.
+  Result<PlanCost> cube_plain = EstimateCost(cube, catalog);
+  Result<PlanCost> group_plain = EstimateCost(group, catalog);
+  ASSERT_TRUE(cube_plain.ok() && group_plain.ok());
+  EXPECT_DOUBLE_EQ(cube_plain->output_rows, 4 * 0.2 * 2000);
+  EXPECT_DOUBLE_EQ(group_plain->output_rows, 0.2 * 2000);
+  EXPECT_DOUBLE_EQ(cube_plain->work, 2000);
+  EXPECT_DOUBLE_EQ(group_plain->work, 2000);
+
+  // With statistics: each mask contributes the NDV product of the dims it
+  // groups (the grand total one row), capped at |R|.
+  Result<TableStats> stats = AnalyzeTable(sales, "Sales");
+  ASSERT_TRUE(stats.ok());
+  ASSERT_TRUE(catalog.RegisterStats("Sales", &*stats).ok());
+  const double prods = static_cast<double>(stats->FindColumn("prod")->ndv);
+  const double months = static_cast<double>(stats->FindColumn("month")->ndv);
+  Result<PlanCost> cube_stats = EstimateCost(cube, catalog);
+  ASSERT_TRUE(cube_stats.ok());
+  EXPECT_DOUBLE_EQ(cube_stats->output_rows, prods * months + prods + months + 1);
+  Result<PlanCost> repeated =
+      EstimateCost(GroupingSetsPlan(TableRef("Sales"), dims, {0b01, 0b01}), catalog);
+  ASSERT_TRUE(repeated.ok());
+  EXPECT_DOUBLE_EQ(repeated->output_rows, 2 * prods);
+}
+
 TEST(StatsCostTest, ResultsIdenticalWithAndWithoutStats) {
   Table sales = testutil::RandomSales(/*seed=*/9, 1500);
   PlanPtr plan = MdJoinPlan(
-      CubeBasePlan(TableRef("Sales"), {"prod", "month"}), TableRef("Sales"),
+      GroupingSetsPlan(TableRef("Sales"), {"prod", "month"},
+                       testutil::CubeMasks({"prod", "month"})),
+      TableRef("Sales"),
       {Sum(RCol("sale"), "total"), Count("n")},
       And(Eq(BCol("prod"), RCol("prod")), Eq(BCol("month"), RCol("month"))));
 
@@ -395,7 +432,9 @@ TEST(EstimateActualTest, FeedbackConvergenceOnRepeatedCubeQuery) {
   Catalog catalog;
   ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
   PlanPtr plan = MdJoinPlan(
-      CubeBasePlan(TableRef("Sales"), {"prod", "month"}), TableRef("Sales"),
+      GroupingSetsPlan(TableRef("Sales"), {"prod", "month"},
+                       testutil::CubeMasks({"prod", "month"})),
+      TableRef("Sales"),
       {Sum(RCol("sale"), "total"), Count("n")},
       And(Eq(BCol("prod"), RCol("prod")), Eq(BCol("month"), RCol("month"))));
 

@@ -87,7 +87,7 @@ TEST_F(SubcubeSelectionTest, MaterializedCuboidsMatchDirectComputation) {
   for (const std::string& d : lattice_->dims()) eqs.push_back(Eq(BCol(d), RCol(d)));
   ExprPtr theta = CombineConjuncts(std::move(eqs));
   for (const auto& [mask, table] : *mat) {
-    Result<Table> base = CuboidBase(sales_, *lattice_, mask);
+    Result<Table> base = GroupingSetsBase(sales_, lattice_->dims(), {mask});
     Result<Table> direct = MdJoin(*base, sales_, aggs, theta);
     ASSERT_TRUE(direct.ok());
     EXPECT_TRUE(TablesEqualUnordered(table, *direct))
@@ -110,7 +110,7 @@ TEST_F(SubcubeSelectionTest, AnswersAnyGranularityCorrectly) {
     Result<Table> answer = AnswerFromSubcubes(*sel, *lattice_, cardinality_, *mat,
                                               aggs, target);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    Result<Table> base = CuboidBase(sales_, *lattice_, target);
+    Result<Table> base = GroupingSetsBase(sales_, lattice_->dims(), {target});
     Result<Table> direct = MdJoin(*base, sales_, aggs, theta);
     ASSERT_TRUE(direct.ok());
     EXPECT_TRUE(TablesEqualUnordered(*answer, *direct))

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <numeric>
-#include <unordered_set>
 
 #include "common/random.h"
 #include "cube/base_tables.h"
@@ -17,6 +15,8 @@ namespace mdjoin {
 namespace {
 
 using testutil::ALL;
+using testutil::ReferenceDistinctOn;
+using testutil::ReferenceGroupingSets;
 using testutil::F;
 using testutil::I;
 using testutil::NUL;
@@ -240,45 +240,6 @@ Table KeyTable(uint64_t seed, int64_t rows, bool mirror) {
   return t;
 }
 
-/// select distinct `cols` from t, first occurrence kept, through a RowKey set.
-Table ReferenceDistinctOn(const Table& t, const std::vector<int>& cols) {
-  std::vector<Field> fields;
-  fields.reserve(cols.size());
-  for (int c : cols) fields.push_back(t.schema().field(c));
-  Table out{Schema(std::move(fields))};
-  std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    RowKey key = t.GetRowKey(r, cols);
-    if (seen.insert(key).second) out.AppendRowUnchecked(std::move(key));
-  }
-  return out;
-}
-
-/// The `mask` cuboid over `dims` (which are t's first columns, in order).
-void AppendReferenceCuboid(const Table& t, size_t num_dims, CuboidMask mask, Table* out) {
-  std::vector<int> cols;
-  for (size_t i = 0; i < num_dims; ++i) {
-    if (mask & (CuboidMask{1} << i)) cols.push_back(static_cast<int>(i));
-  }
-  const Table keys = ReferenceDistinctOn(t, cols);
-  for (int64_t r = 0; r < keys.num_rows(); ++r) {
-    std::vector<Value> row(num_dims, ALL());
-    for (size_t k = 0; k < cols.size(); ++k) {
-      row[static_cast<size_t>(cols[k])] = keys.Get(r, static_cast<int>(k));
-    }
-    out->AppendRowUnchecked(std::move(row));
-  }
-}
-
-/// t's `dims` columns, in that order (the layout of a base table over dims).
-Table DimColumns(const Table& t, const std::vector<std::string>& dims) {
-  const std::vector<int> cols = *ResolveColumns(t.schema(), dims);
-  std::vector<Field> fields;
-  fields.reserve(cols.size());
-  for (int c : cols) fields.push_back(t.schema().field(c));
-  return GatherColumns(t, cols, std::move(fields));
-}
-
 std::vector<std::vector<std::string>> KeyColumnSets() {
   return {{"i"}, {"f"}, {"s"}, {"m"}, {"a"}, {"f", "s"}, {"i", "m"}, {"a", "f", "i"},
           {"s", "f", "m", "a", "i"}, {}};
@@ -332,7 +293,7 @@ TEST(DistinctKernelTest, DistinctAndDistinctOnMatchRowKeyReference) {
   }
 }
 
-TEST(DistinctKernelTest, CuboidAndCubeBasesMatchRowKeyReference) {
+TEST(DistinctKernelTest, GroupingSetsBasesMatchRowKeyReference) {
   const std::vector<std::vector<std::string>> dim_lists = {
       {"i", "f", "s"}, {"m", "s"}, {"a", "f"}, {"s"}};
   for (uint64_t seed = 1; seed <= 6; ++seed) {
@@ -343,28 +304,19 @@ TEST(DistinctKernelTest, CuboidAndCubeBasesMatchRowKeyReference) {
           SCOPED_TRACE("seed " + std::to_string(seed) + " rows " + std::to_string(rows) +
                        " dims " + std::to_string(dims.size()));
           const CubeLattice lattice = *CubeLattice::Make(dims);
-          const Table by_dims = DimColumns(t, dims);
+          // Every single cuboid, then the whole cube: one distinct pass for
+          // the finest cuboid, every coarser one derived from it.
           for (CuboidMask mask = 0; mask <= lattice.full_cuboid(); ++mask) {
-            Table expected{by_dims.schema()};
-            AppendReferenceCuboid(by_dims, dims.size(), mask, &expected);
-            Result<Table> got = CuboidBase(t, lattice, mask);
+            Result<Table> got = GroupingSetsBase(t, dims, {mask});
             ASSERT_TRUE(got.ok()) << got.status().ToString();
-            EXPECT_TRUE(testutil::TablesBitIdentical(*got, expected));
-          }
-          // CubeByBase: one distinct pass for the finest cuboid, every
-          // coarser cuboid derived from it, finest first.
-          std::vector<int> all_dims(dims.size());
-          std::iota(all_dims.begin(), all_dims.end(), 0);
-          const Table finest = ReferenceDistinctOn(by_dims, all_dims);
-          Table expected{by_dims.schema()};
-          for (int level = lattice.num_dims(); level >= 0; --level) {
-            for (CuboidMask mask : lattice.CuboidsAtLevel(level)) {
-              AppendReferenceCuboid(finest, dims.size(), mask, &expected);
-            }
+            EXPECT_TRUE(testutil::TablesBitIdentical(
+                *got, ReferenceGroupingSets(t, dims, {mask})));
+            EXPECT_TRUE(testutil::MirrorAgreesWithCells(*got));
           }
           Result<Table> got = CubeByBase(t, dims);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
-          EXPECT_TRUE(testutil::TablesBitIdentical(*got, expected));
+          EXPECT_TRUE(testutil::TablesBitIdentical(
+              *got, ReferenceGroupingSets(t, dims, lattice.CubeOrder())));
         }
       }
     }

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,8 @@
 #include "common/random.h"
 #include "core/generalized.h"
 #include "core/reference.h"
+#include "cube/lattice.h"
+#include "table/key.h"
 #include "table/table_accel.h"
 #include "table/table_builder.h"
 
@@ -76,6 +80,32 @@ inline Table RandomSales(uint64_t seed, int64_t rows, int64_t num_cust = 6,
   return std::move(b).Finish();
 }
 
+/// Edge cases for base generation: (a, b, c, v) with NULL, NaN, ±0, and an
+/// Int64 and a Float64 of equal value in one Float64 column, so a base whose
+/// cuboids kept a different representative row than a direct scan of each
+/// cuboid would show. v is 1 on every row.
+inline Table EdgeTable() {
+  Table edge{Schema({Field("a", DataType::kFloat64), Field("b", DataType::kFloat64),
+                     Field("c", DataType::kString), Field("v", DataType::kInt64)})};
+  const double nan = std::nan("");
+  auto add = [&edge](Value a, Value b, Value c) {
+    edge.AppendRowUnchecked({std::move(a), std::move(b), std::move(c), Value::Int64(1)});
+  };
+  add(Value::Int64(1), Value::Float64(-0.0), Value::String("x"));
+  add(Value::Float64(1.0), Value::Float64(0.0), Value::String("y"));
+  add(Value::Null(), Value::Float64(nan), Value::String("x"));
+  add(Value::Float64(1.0), Value::Float64(nan), Value::Null());
+  add(Value::Int64(2), Value::Float64(0.0), Value::String("x"));
+  add(Value::Null(), Value::Float64(-0.0), Value::Null());
+  add(Value::Int64(1), Value::Float64(nan), Value::String("y"));
+  add(Value::Float64(2.0), Value::Null(), Value::String("x"));
+  add(Value::Float64(1.0), Value::Float64(0.0), Value::String("x"));
+  add(Value::Null(), Value::Null(), Value::Null());
+  add(Value::Float64(-0.0), Value::Float64(1.0), Value::String("y"));
+  add(Value::Int64(0), Value::Int64(1), Value::String("y"));
+  return edge;
+}
+
 /// Bit-exact cell comparison: doubles by bit pattern, so NaN equals the same
 /// NaN and -0.0 differs from +0.0 (Value::Equals treats both the other way).
 inline bool BitEq(const Value& a, const Value& b) {
@@ -112,6 +142,59 @@ inline ::testing::AssertionResult TablesBitIdentical(const Table& a, const Table
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// select distinct `cols` from t, first occurrence kept, through a RowKey
+/// set: the test-only oracle for the distinct-key kernel and every base
+/// generator built on it.
+inline Table ReferenceDistinctOn(const Table& t, const std::vector<int>& cols) {
+  std::vector<Field> fields;
+  fields.reserve(cols.size());
+  for (int c : cols) fields.push_back(t.schema().field(c));
+  Table out{Schema(std::move(fields))};
+  std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    RowKey key = t.GetRowKey(r, cols);
+    if (seen.insert(key).second) out.AppendRowUnchecked(std::move(key));
+  }
+  return out;
+}
+
+/// CUBE BY's masks over `dims`, in CubeLattice::CubeOrder.
+inline std::vector<CuboidMask> CubeMasks(const std::vector<std::string>& dims) {
+  return CubeLattice::Make(dims).ValueOrDie().CubeOrder();
+}
+
+/// The grouping-sets base over `dims` of t, by the definition: for each
+/// mask in order, ReferenceDistinctOn over the dims it groups, each a scan
+/// of t itself, with ALL in the other positions.
+inline Table ReferenceGroupingSets(const Table& t, const std::vector<std::string>& dims,
+                                   const std::vector<CuboidMask>& masks) {
+  std::vector<int> dim_cols;
+  std::vector<Field> fields;
+  for (const std::string& d : dims) {
+    dim_cols.push_back(t.schema().GetFieldIndex(d).ValueOrDie());
+    fields.push_back(t.schema().field(dim_cols.back()));
+  }
+  Table out{Schema(std::move(fields))};
+  for (CuboidMask mask : masks) {
+    std::vector<size_t> grouped;
+    std::vector<int> cols;
+    for (size_t i = 0; i < dims.size(); ++i) {
+      if (!(mask & (CuboidMask{1} << i))) continue;
+      grouped.push_back(i);
+      cols.push_back(dim_cols[i]);
+    }
+    const Table keys = ReferenceDistinctOn(t, cols);
+    for (int64_t r = 0; r < keys.num_rows(); ++r) {
+      std::vector<Value> row(dims.size(), Value::All());
+      for (size_t k = 0; k < grouped.size(); ++k) {
+        row[grouped[k]] = keys.Get(r, static_cast<int>(k));
+      }
+      out.AppendRowUnchecked(std::move(row));
+    }
+  }
+  return out;
 }
 
 /// Checks `t`'s typed mirror, when it has one, cell by cell against its
