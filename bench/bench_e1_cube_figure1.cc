@@ -150,16 +150,34 @@ BENCHMARK(BM_CubeRawSpeed)
 ///     pass over R for the finest cuboid, coarser cuboids derived from it.
 ///   1 group — group(cust) as the binder lowers it, a single full-mask
 ///     GroupingSets node, GroupByBase(R, {cust}): Example 2.2's B.
-/// Both read the detail table's typed mirror (distinct keys on int64
-/// payloads) and copy only the distinct rows.
+///   2..6 — GroupingSetsBase over low-cardinality dims (prod, month,
+///     state: 50 × 12 × 50) and high-cardinality ones (cust, day, sale,
+///     where sale is all but unique, so the finest cuboid is close to |R|):
+///     2/3 unpivot low/high, 4/5 grouping_sets ((a, b), (c), ()) low/high,
+///     6 one non-full mask, (cust, day) of (cust, day, sale), as
+///     ApplyRollup's finer bases and the cache's roll-up plans build it.
+/// All read the detail table's typed mirror (distinct keys on int64 and
+/// float64 payloads) and copy only each cuboid's distinct rows.
 void BM_BaseGeneration(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const int arm = static_cast<int>(state.range(1));
   const Table& sales = CachedSales(rows, 100, 50, 12);
+  const std::vector<std::string> low = {"prod", "month", "state"};
+  const std::vector<std::string> high = {"cust", "day", "sale"};
+  const std::vector<CuboidMask> unpivot = {0b001, 0b010, 0b100};
+  const std::vector<CuboidMask> sets = {0b011, 0b100, 0b000};
   int64_t base_rows = 0;
   for (auto _ : state) {
-    Table base = arm == 0 ? *CubeByBase(sales, {"prod", "month"})
-                          : *GroupByBase(sales, {"cust"});
+    Table base;
+    switch (arm) {
+      case 0: base = *CubeByBase(sales, {"prod", "month"}); break;
+      case 1: base = *GroupByBase(sales, {"cust"}); break;
+      case 2: base = *GroupingSetsBase(sales, low, unpivot); break;
+      case 3: base = *GroupingSetsBase(sales, high, unpivot); break;
+      case 4: base = *GroupingSetsBase(sales, low, sets); break;
+      case 5: base = *GroupingSetsBase(sales, high, sets); break;
+      default: base = *GroupingSetsBase(sales, high, {0b011}); break;
+    }
     base_rows = base.num_rows();
     benchmark::DoNotOptimize(base_rows);
   }
@@ -168,7 +186,7 @@ void BM_BaseGeneration(benchmark::State& state) {
   state.counters["detail_rows"] = static_cast<double>(rows);
 }
 BENCHMARK(BM_BaseGeneration)
-    ->ArgsProduct({{200000, 1000000}, {0, 1}})
+    ->ArgsProduct({{200000, 1000000}, {0, 1, 2, 3, 4, 5, 6}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GroupingSetsViaSameOperator(benchmark::State& state) {

@@ -318,7 +318,13 @@ Result<PlanPtr> BuildBasePlan(const BinderState& state, const PlanPtr& detail_pl
   if (Status valid = ValidateGroupingSets(gen.attrs, {}); !valid.ok()) {
     return Status::BindError(valid.message());
   }
+  // Only group() is one all-ones mask; the others need a bit per attribute.
   const size_t d = gen.attrs.size();
+  if (gen.kind != BaseGenKind::kGroup && d > kMaxMaskDims) {
+    return Status::BindError("grouping sets over more than ", kMaxMaskDims,
+                             " attributes can only group all of them (use group()), got ",
+                             d);
+  }
   std::vector<CuboidMask> masks;
   switch (gen.kind) {
     case BaseGenKind::kGroup:

@@ -6,80 +6,72 @@ namespace mdjoin {
 
 namespace {
 
-/// Schema of a base table over `dims`, typed from `t`.
-Result<Schema> BaseSchema(const Table& t, const std::vector<std::string>& dims) {
-  std::vector<Field> fields;
-  fields.reserve(dims.size());
-  for (const std::string& d : dims) {
-    MDJ_ASSIGN_OR_RETURN(int idx, t.schema().GetFieldIndex(d));
-    fields.push_back(t.schema().field(idx));
-  }
-  return Schema(std::move(fields));
-}
-
-/// A base table under construction: one Value column per dimension.
-struct BaseColumns {
-  std::vector<std::vector<Value>> columns;
-  int64_t num_rows = 0;
-
-  explicit BaseColumns(size_t num_dims) : columns(num_dims) {}
-
-  Table Finish(Schema schema) && {
-    return Table::FromColumns(std::move(schema), std::move(columns), num_rows);
-  }
-};
-
-/// Appends the `mask` cuboid of `t` to `out`: t's distinct keys over the
-/// masked dims, in first-occurrence order, with ALL in the other positions.
-Status AppendCuboid(const Table& t, const std::vector<std::string>& dims,
-                    CuboidMask mask, BaseColumns* out) {
-  std::vector<int> src(dims.size(), -1);  // t's column feeding each dim
-  std::vector<int> cols;
-  for (size_t i = 0; i < dims.size(); ++i) {
-    if (mask & (CuboidMask{1} << i)) {
-      MDJ_ASSIGN_OR_RETURN(src[i], t.schema().GetFieldIndex(dims[i]));
-      cols.push_back(src[i]);
-    }
-  }
-  const std::vector<int64_t> rows = DistinctRowIndices(t, cols);
-  for (size_t i = 0; i < dims.size(); ++i) {
-    std::vector<Value>& column = out->columns[i];
-    if (src[i] < 0) {
+/// Appends rows `rows` of `t` to `columns` as the `mask` cuboid: dimension
+/// i reads t's column dim_cols[i] where the mask groups it, ALL elsewhere.
+void AppendCuboid(const Table& t, const std::vector<int>& dim_cols, CuboidMask mask,
+                  const std::vector<int64_t>& rows,
+                  std::vector<std::vector<Value>>* columns) {
+  for (size_t i = 0; i < dim_cols.size(); ++i) {
+    std::vector<Value>& column = (*columns)[i];
+    if (!GroupsDim(mask, i)) {
       column.insert(column.end(), rows.size(), Value::All());
       continue;
     }
-    const std::vector<Value>& cells = t.column(src[i]);
+    const std::vector<Value>& cells = t.column(dim_cols[i]);
     for (int64_t r : rows) column.push_back(cells[static_cast<size_t>(r)]);
   }
-  out->num_rows += static_cast<int64_t>(rows.size());
-  return Status::OK();
 }
 
 }  // namespace
 
-// One distinct pass over R, for the finest cuboid the masks need, and every
-// cuboid derived from that (Gray et al.: compute a cuboid from a parent).
-// Rows and order match a scan of R per cuboid: the first R row with a given
-// coarse key also carries the first occurrence of its finer key, so the
-// finest cuboid meets the coarse keys in R's order, each represented by the
-// same R row.
+// When the masks share dims (their key widths sum to more than the finest
+// cuboid's: a cube, a rollup), one distinct pass over R for the finest
+// cuboid the masks need, kept as row indices, and every other cuboid a
+// distinct pass over just those rows (Gray et al.: compute a cuboid from a
+// parent). Rows and order match a scan of R per cuboid: the first R row
+// with a given coarse key also carries the first occurrence of its finer
+// key, so the finest rows meet the coarse keys in R's order, each
+// represented by the same R row. When they share none (unpivot, disjoint
+// grouping sets) that pass would hash every key cell of R anyway, into a
+// larger table, so each cuboid scans R itself. Either way only each
+// cuboid's own rows are copied.
 Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
                                const std::vector<CuboidMask>& masks) {
   MDJ_RETURN_NOT_OK(ValidateGroupingSets(dims, masks));
-  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, dims));
+  if (masks.size() == 1 && masks[0] == PrefixMask(dims.size())) {
+    return DistinctOn(t, dims);  // GROUP BY: keeps t's typed mirror
+  }
+  MDJ_ASSIGN_OR_RETURN(std::vector<int> dim_cols, ResolveColumns(t.schema(), dims));
+  std::vector<Field> fields;
+  for (int c : dim_cols) fields.push_back(t.schema().field(c));
+  auto cols_of = [&](CuboidMask mask) {
+    std::vector<int> cols;
+    for (size_t i = 0; i < dims.size(); ++i) {
+      if (GroupsDim(mask, i)) cols.push_back(dim_cols[i]);
+    }
+    return cols;
+  };
   CuboidMask grouped = 0;
-  for (CuboidMask mask : masks) grouped |= mask;
-  std::vector<std::string> finest_dims;
-  for (size_t i = 0; i < dims.size(); ++i) {
-    if (grouped & (CuboidMask{1} << i)) finest_dims.push_back(dims[i]);
-  }
-  MDJ_ASSIGN_OR_RETURN(Table finest, DistinctOn(t, finest_dims));
-  if (masks.size() == 1 && masks[0] == PrefixMask(dims.size())) return finest;
-  BaseColumns out(dims.size());
+  size_t key_width = 0;
   for (CuboidMask mask : masks) {
-    MDJ_RETURN_NOT_OK(AppendCuboid(finest, dims, mask, &out));
+    grouped |= mask;
+    key_width += cols_of(mask).size();
   }
-  return std::move(out).Finish(std::move(schema));
+  const std::vector<int> finest_cols = cols_of(grouped);
+  const bool derive = key_width > finest_cols.size();
+  const std::vector<int64_t> finest =
+      derive ? DistinctRowIndices(t, finest_cols) : std::vector<int64_t>{};
+  std::vector<std::vector<Value>> columns(dims.size());
+  int64_t num_rows = 0;
+  for (CuboidMask mask : masks) {
+    const std::vector<int64_t> rows =
+        derive && mask == grouped
+            ? finest
+            : DistinctRowIndices(t, cols_of(mask), derive ? &finest : nullptr);
+    AppendCuboid(t, dim_cols, mask, rows, &columns);
+    num_rows += static_cast<int64_t>(rows.size());
+  }
+  return Table::FromColumns(Schema(std::move(fields)), std::move(columns), num_rows);
 }
 
 Result<Table> GroupByBase(const Table& t, const std::vector<std::string>& dims) {

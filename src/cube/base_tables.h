@@ -23,9 +23,11 @@ namespace mdjoin {
 /// it groups, in first-occurrence order, with ALL in the other positions.
 /// GROUP BY is the single full mask, CUBE BY all 2^d masks
 /// (CubeLattice::CubeOrder), ROLLUP the prefix masks, UNPIVOT [GFC98] one
-/// single-dimension mask per dimension. Takes one distinct pass over the
-/// dims the masks group and derives each cuboid from it; for exactly the
-/// full mask that pass is the result, typed mirror included.
+/// single-dimension mask per dimension. When the masks share dims, takes
+/// one distinct pass over the dims they group and derives each other
+/// cuboid from the rows it keeps; otherwise scans t once per mask. Copies
+/// only each cuboid's own rows; for exactly the full mask the distinct
+/// pass is the result, typed mirror included.
 Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
                                const std::vector<CuboidMask>& masks);
 

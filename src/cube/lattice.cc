@@ -6,10 +6,6 @@ namespace mdjoin {
 
 Status ValidateGroupingSets(const std::vector<std::string>& dims,
                             const std::vector<CuboidMask>& masks) {
-  if (dims.size() > kMaxMaskDims) {
-    return Status::InvalidArgument("grouping sets limited to ", kMaxMaskDims,
-                                   " dimensions, got ", dims.size());
-  }
   for (size_t i = 0; i < dims.size(); ++i) {
     for (size_t j = i + 1; j < dims.size(); ++j) {
       if (dims[i] == dims[j]) {
@@ -17,10 +13,15 @@ Status ValidateGroupingSets(const std::vector<std::string>& dims,
       }
     }
   }
+  const CuboidMask full = PrefixMask(dims.size());
   for (CuboidMask mask : masks) {
-    if ((mask & ~PrefixMask(dims.size())) != 0) {
+    if ((mask & ~full) != 0) {
       return Status::InvalidArgument("grouping set mask ", mask,
                                      " has bits beyond the ", dims.size(), " dimensions");
+    }
+    if (dims.size() > kMaxMaskDims && mask != full) {
+      return Status::InvalidArgument("grouping sets over more than ", kMaxMaskDims,
+                                     " dimensions can only group all ", dims.size());
     }
   }
   return Status::OK();

@@ -15,16 +15,27 @@ namespace mdjoin {
 /// total is 0.
 using CuboidMask = uint32_t;
 
-/// Bits in a CuboidMask: the most dimensions a grouping-sets base can name.
+/// Bits in a CuboidMask: the most dimensions a mask can tell apart. A
+/// grouping-sets base over more dimensions may only group all of them, which
+/// the all-ones mask stands for (a GROUP BY over a wide attribute list).
 constexpr size_t kMaxMaskDims = 32;
 
-/// The mask grouping the first `num_dims` dimensions (num_dims <= 32).
+/// The mask grouping the first `num_dims` dimensions; from kMaxMaskDims on,
+/// the all-ones mask, which groups every dimension.
 inline CuboidMask PrefixMask(size_t num_dims) {
-  return static_cast<CuboidMask>((uint64_t{1} << num_dims) - 1);
+  return num_dims >= kMaxMaskDims ? ~CuboidMask{0}
+                                  : (CuboidMask{1} << num_dims) - 1;
 }
 
-/// OK when `dims` holds at most kMaxMaskDims distinct names and every mask
-/// groups only those dimensions: the shape check of a grouping-sets base.
+/// Whether `mask` groups dimension `i`: bit i, or for i >= kMaxMaskDims
+/// whether `mask` is the all-ones mask.
+inline bool GroupsDim(CuboidMask mask, size_t i) {
+  return i < kMaxMaskDims ? ((mask >> i) & 1u) != 0 : mask == ~CuboidMask{0};
+}
+
+/// OK when `dims` holds distinct names and every mask groups only those
+/// dimensions, and only the all-ones mask when there are more than
+/// kMaxMaskDims of them: the shape check of a grouping-sets base.
 Status ValidateGroupingSets(const std::vector<std::string>& dims,
                             const std::vector<CuboidMask>& masks);
 

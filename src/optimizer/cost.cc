@@ -112,10 +112,10 @@ double PredicateSelectivity(const ExprPtr& predicate, const TableStats* stats) {
 /// Product of the NDVs of `columns`, or nullopt when any column lacks
 /// statistics (callers then fall back to the ratio constants). The product
 /// is the standard independence-assumption group-count estimate; callers
-/// clamp it to the input cardinality. No columns is one group.
+/// clamp it to the input cardinality.
 std::optional<double> NdvProduct(const TableStats* stats,
                                  const std::vector<std::string>& columns) {
-  if (stats == nullptr) return std::nullopt;
+  if (stats == nullptr || columns.empty()) return std::nullopt;
   double product = 1.0;
   for (const std::string& name : columns) {
     const ColumnStats* cs = stats->FindColumn(name);
@@ -233,14 +233,16 @@ Result<PlanCost> EstimateCostImpl(const PlanPtr& plan, const Catalog& catalog,
       MDJ_ASSIGN_OR_RETURN(PlanCost child, Estimate(plan->child(0), catalog, feedback));
       const TableStats* stats = StatsForInput(plan->child(0), catalog);
       // One cuboid per mask: the NDV product of the dims it groups (the
-      // absent ones are ALL, factor 1), capped at the child's rows.
+      // absent ones are ALL, factor 1; the grand total is one group),
+      // capped at the child's rows.
       double out = 0;
       for (CuboidMask mask : plan->masks) {
         std::vector<std::string> present;
         for (size_t i = 0; i < plan->dims.size(); ++i) {
-          if ((mask >> i) & 1u) present.push_back(plan->dims[i]);
+          if (GroupsDim(mask, i)) present.push_back(plan->dims[i]);
         }
-        std::optional<double> ndv = NdvProduct(stats, present);
+        std::optional<double> ndv =
+            present.empty() && stats != nullptr ? 1.0 : NdvProduct(stats, present);
         out += ndv ? std::min(*ndv, child.output_rows) : child.output_rows * kCuboidRatio;
       }
       return PlanCost{out, child.work + child.output_rows};

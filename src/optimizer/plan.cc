@@ -242,8 +242,8 @@ std::string PlanNode::Label() const {
       // The dims, then each mask as the dims it groups: "(a, b; (a, b), (a), ())".
       auto names = [this](CuboidMask mask) {
         std::string list;
-        for (size_t i = 0; i < dims.size() && i < kMaxMaskDims; ++i) {
-          if (!(mask & (CuboidMask{1} << i))) continue;
+        for (size_t i = 0; i < dims.size(); ++i) {
+          if (!GroupsDim(mask, i)) continue;
           list += (list.empty() ? "" : ", ") + dims[i];
         }
         return list;

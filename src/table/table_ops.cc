@@ -70,10 +70,11 @@ struct KeyColumn {
 
   bool IsNull(int64_t r) const { return nulls != nullptr && nulls[r] != 0; }
 
-  /// Mixes rows [start, start + n)'s hashes of this column into `h`.
-  void MixHashes(int64_t start, int64_t n, uint64_t* h) const {
+  /// Mixes this column's hashes of rows row_at(0), ..., row_at(n - 1) into `h`.
+  template <typename RowAt>
+  void MixHashes(RowAt row_at, int64_t n, uint64_t* h) const {
     auto mix = [&](auto&& hash_of) {
-      for (int64_t i = 0; i < n; ++i) h[i] = Mix64(h[i] ^ hash_of(start + i));
+      for (int64_t i = 0; i < n; ++i) h[i] = Mix64(h[i] ^ hash_of(row_at(i)));
     };
     switch (rep) {
       case FlatColumn::Rep::kInt64:
@@ -110,9 +111,10 @@ struct KeyColumn {
   }
 };
 
-}  // namespace
-
-std::vector<int64_t> DistinctRowIndices(const Table& t, const std::vector<int>& cols) {
+/// The distinct-key kernel over the `n` rows row_at(0), ..., row_at(n - 1).
+template <typename RowAt>
+std::vector<int64_t> DistinctRows(const Table& t, const std::vector<int>& cols, int64_t n,
+                                  RowAt row_at) {
   std::vector<KeyColumn> keys(cols.size());
   for (size_t k = 0; k < cols.size(); ++k) {
     KeyColumn& key = keys[k];
@@ -150,12 +152,13 @@ std::vector<int64_t> DistinctRowIndices(const Table& t, const std::vector<int>& 
   // Hashes are built a block at a time, one key column after another.
   constexpr int64_t kBlock = 1024;
   std::vector<uint64_t> hashes(static_cast<size_t>(kBlock));
-  for (int64_t start = 0; start < t.num_rows(); start += kBlock) {
-    const int64_t n = std::min(kBlock, t.num_rows() - start);
-    std::fill(hashes.begin(), hashes.begin() + n, 0x9e3779b97f4a7c15ULL);
-    for (const KeyColumn& key : keys) key.MixHashes(start, n, hashes.data());
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t row = start + i;
+  for (int64_t start = 0; start < n; start += kBlock) {
+    const int64_t block = std::min(kBlock, n - start);
+    auto block_row = [&](int64_t i) { return row_at(start + i); };
+    std::fill(hashes.begin(), hashes.begin() + block, 0x9e3779b97f4a7c15ULL);
+    for (const KeyColumn& key : keys) key.MixHashes(block_row, block, hashes.data());
+    for (int64_t i = 0; i < block; ++i) {
+      const int64_t row = block_row(i);
       const uint64_t h = hashes[i];
       bool found = false;
       for (uint64_t s = h & mask; slot_row[s] >= 0; s = (s + 1) & mask) {
@@ -181,6 +184,18 @@ std::vector<int64_t> DistinctRowIndices(const Table& t, const std::vector<int>& 
     }
   }
   return kept;
+}
+
+}  // namespace
+
+std::vector<int64_t> DistinctRowIndices(const Table& t, const std::vector<int>& cols,
+                                        const std::vector<int64_t>* rows) {
+  if (rows == nullptr) {
+    return DistinctRows(t, cols, t.num_rows(), [](int64_t i) { return i; });
+  }
+  const int64_t* subset = rows->data();
+  return DistinctRows(t, cols, static_cast<int64_t>(rows->size()),
+                      [subset](int64_t i) { return subset[i]; });
 }
 
 Table GatherColumns(const Table& t, const std::vector<int>& cols, std::vector<Field> fields,

@@ -34,8 +34,11 @@ std::vector<int64_t> SortedRowIndices(const Table& t, const std::vector<SortKey>
 /// nothing, so every NaN row is its own key). Each key column reads its
 /// typed payload (int64, float64, or dictionary code plus null byte) when
 /// `t` carries a mirror for it, and its Value cells otherwise (ALL, mixed
-/// types, no mirror). With no key columns every row shares one key.
-std::vector<int64_t> DistinctRowIndices(const Table& t, const std::vector<int>& cols);
+/// types, no mirror). With no key columns every row shares one key. With
+/// `rows`, only those rows of `t` are read, in that order, and the result
+/// holds the ones that first carry their key.
+std::vector<int64_t> DistinctRowIndices(const Table& t, const std::vector<int>& cols,
+                                        const std::vector<int64_t>* rows = nullptr);
 
 /// The one column-copy routine: a table over `fields` (one per entry of
 /// `cols`; names may differ from t's) whose column i is column cols[i] of

@@ -522,5 +522,60 @@ TEST(TextPathDifferentialTest, EveryGeneratorMatchesTheDefinition) {
   }
 }
 
+// group() over more attributes than a CuboidMask has bits is one full
+// mask, which stands for all of them; the other generators need a bit per
+// attribute and refuse such lists at bind time.
+TEST(TextPathDifferentialTest, WideGroupKeepsItsReach) {
+  constexpr int kDims = 33;
+  std::vector<std::string> dims;
+  Table wide{Schema()};
+  for (int c = 0; c < kDims; ++c) {
+    dims.push_back(std::to_string(c).insert(0, 1, 'c'));
+    std::vector<Value> cells;
+    for (int64_t r = 0; r < 60; ++r) cells.push_back(Value::Int64((r * (c + 1)) % 7));
+    ASSERT_TRUE(wide.AddColumn(Field{dims.back(), DataType::kInt64}, cells).ok());
+  }
+  wide.RebuildAccel();
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Wide", &wide).ok());
+  std::string list;
+  for (const std::string& d : dims) list += (list.empty() ? "" : ", ") + d;
+
+  Result<analyze::BoundQuery> bound = BindQueryString(
+      "select " + list + ", count(*) as n from Wide analyze by group(" + list + ")",
+      catalog);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  Result<PlanPtr> plan = OptimizePlan(bound->plan, catalog);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const PlanPtr base_plan = FindGroupingSets(*plan);
+  ASSERT_NE(base_plan, nullptr) << ExplainPlan(*plan);
+  EXPECT_EQ(base_plan->masks, std::vector<CuboidMask>{PrefixMask(kDims)});
+  Result<Table> base = ExecutePlan(base_plan, catalog);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  const Table expected_base = testutil::ReferenceGroupingSets(wide, dims, {PrefixMask(kDims)});
+  EXPECT_EQ(expected_base.num_rows(), 7);
+  EXPECT_TRUE(testutil::TablesBitIdentical(*base, expected_base));
+  EXPECT_TRUE(testutil::MirrorAgreesWithCells(*base));
+
+  std::vector<ExprPtr> eqs;
+  for (const std::string& d : dims) eqs.push_back(Eq(BCol(d), RCol(d)));
+  Result<Table> expected =
+      MdJoinReference(expected_base, wide, {Count("n")}, CombineConjuncts(std::move(eqs)));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  Result<Table> got = ExecutePlan(*plan, catalog);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(testutil::TablesBitIdentical(*got, *expected));
+
+  for (const std::string gen : {"rollup", "unpivot", "cube"}) {
+    Result<analyze::BoundQuery> narrow = BindQueryString(
+        "select " + list + " from Wide analyze by " + gen + "(" + list + ")", catalog);
+    EXPECT_FALSE(narrow.ok()) << gen;
+  }
+  // A grouping set short of all the attributes has no mask to stand for it.
+  EXPECT_FALSE(
+      ValidateGroupingSets(dims, {PrefixMask(kDims), PrefixMask(kMaxMaskDims - 1)}).ok());
+  EXPECT_TRUE(ValidateGroupingSets(dims, {PrefixMask(kDims)}).ok());
+}
+
 }  // namespace
 }  // namespace mdjoin

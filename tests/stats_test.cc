@@ -358,6 +358,17 @@ TEST(StatsCostTest, GroupingSetsEstimateSumsItsMasks) {
       EstimateCost(GroupingSetsPlan(TableRef("Sales"), dims, {0b01, 0b01}), catalog);
   ASSERT_TRUE(repeated.ok());
   EXPECT_DOUBLE_EQ(repeated->output_rows, 2 * prods);
+  Result<PlanCost> grand_total =
+      EstimateCost(GroupingSetsPlan(TableRef("Sales"), dims, {0b00}), catalog);
+  ASSERT_TRUE(grand_total.ok());
+  EXPECT_DOUBLE_EQ(grand_total->output_rows, 1);
+
+  // A GroupBy with no group columns keeps its kGroupByRatio estimate even
+  // with statistics: only the grouping-sets grand total counts as one group.
+  Result<PlanCost> global_agg = EstimateCost(
+      GroupByPlan(TableRef("Sales"), {}, {Count("n")}), catalog);
+  ASSERT_TRUE(global_agg.ok());
+  EXPECT_DOUBLE_EQ(global_agg->output_rows, 0.2 * 2000);
 }
 
 TEST(StatsCostTest, ResultsIdenticalWithAndWithoutStats) {

@@ -293,6 +293,29 @@ TEST(DistinctKernelTest, DistinctAndDistinctOnMatchRowKeyReference) {
   }
 }
 
+TEST(DistinctKernelTest, RowSubsetMatchesRowKeyReference) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (bool mirror : {true, false}) {
+      const Table t = KeyTable(seed, 500, mirror);
+      Random rng(seed + 100);
+      std::vector<int64_t> subset;
+      for (int64_t r = 0; r < t.num_rows(); ++r) {
+        if (rng.Uniform(3) != 0) subset.push_back(r);
+      }
+      for (const auto& names : KeyColumnSets()) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + (mirror ? " mirror" : " cells"));
+        const std::vector<int> cols = *ResolveColumns(t.schema(), names);
+        std::vector<int64_t> expected;
+        std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
+        for (int64_t r : subset) {
+          if (seen.insert(t.GetRowKey(r, cols)).second) expected.push_back(r);
+        }
+        EXPECT_EQ(DistinctRowIndices(t, cols, &subset), expected);
+      }
+    }
+  }
+}
+
 TEST(DistinctKernelTest, GroupingSetsBasesMatchRowKeyReference) {
   const std::vector<std::vector<std::string>> dim_lists = {
       {"i", "f", "s"}, {"m", "s"}, {"a", "f"}, {"s"}};

@@ -181,7 +181,7 @@ inline Table ReferenceGroupingSets(const Table& t, const std::vector<std::string
     std::vector<size_t> grouped;
     std::vector<int> cols;
     for (size_t i = 0; i < dims.size(); ++i) {
-      if (!(mask & (CuboidMask{1} << i))) continue;
+      if (!GroupsDim(mask, i)) continue;
       grouped.push_back(i);
       cols.push_back(dim_cols[i]);
     }
